@@ -38,8 +38,10 @@
 #   ./ci.sh perf       # stage 5 only
 #   ./ci.sh resume     # stage 6 only
 #   ./ci.sh tier1      # stage 7 only
-#   ./ci.sh obs        # observability-labeled tests only (fast focus
-#                      # loop for metrics/trace/provenance work)
+#   ./ci.sh obs        # observability-labeled tests, then sm-explain's
+#                      # narrative, --list and --chrome modes over the
+#                      # censored provenance goldens (fast focus loop for
+#                      # metrics/provenance work)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")" && pwd)"
@@ -212,10 +214,30 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tier1" ]; then
 fi
 
 if [ "$STAGE" = "obs" ]; then
-  echo "=== focus: observability-labeled tests ==="
+  echo "=== focus: observability-labeled tests + sm-explain ==="
   cmake -B "$ROOT/build" -S "$ROOT"
-  cmake --build "$ROOT/build" -j --target test_obs test_provenance
+  cmake --build "$ROOT/build" -j --target test_obs test_provenance sm-explain
   ctest --test-dir "$ROOT/build" --output-on-failure -j "$(nproc)" -L obs
+  # sm-explain over the censored goldens in all three modes. The Chrome
+  # export must load with Python's json module, which rejects raw
+  # control characters, and hold at least one "X" span.
+  EXPLAIN="$ROOT/build/tools/sm-explain"
+  for golden in provenance_censored provenance_censored_v6; do
+    in="$ROOT/tests/golden/$golden.json"
+    # Captured first: grep -q quitting early would SIGPIPE the writer.
+    narrative="$("$EXPLAIN" --trace "$in")"
+    grep -q '^verdict: ' <<< "$narrative"
+    listing="$("$EXPLAIN" --trace "$in" --list)"
+    grep -q 'events=' <<< "$listing"
+    "$EXPLAIN" --trace "$in" --chrome "/tmp/$golden.chrome.json"
+    python3 - "/tmp/$golden.chrome.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    events = json.load(f)["traceEvents"]
+if not any(e["ph"] == "X" for e in events):
+    sys.exit(sys.argv[1] + ": no X span")
+PY
+  done
 fi
 
 echo "ci.sh: all requested stages passed"

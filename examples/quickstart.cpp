@@ -3,12 +3,14 @@
 // both evaluation criteria — did we detect the blocking (accuracy), and
 // did the surveillance MVR log us (evasion)?
 //
-// With the observability layer enabled, the run also dumps a metrics
+// With metrics and provenance enabled, the run also dumps a metrics
 // snapshot (every counter the adversary-side subsystems accumulated) and
-// a sim-time Chrome trace you can open in chrome://tracing.
+// the provenance graph as a sim-time Chrome trace you can open in
+// chrome://tracing.
 //
 //   $ ./quickstart [metrics.json [trace.json]]
 #include <cstdio>
+#include <fstream>
 
 #include "core/probe.hpp"
 #include "core/risk.hpp"
@@ -25,6 +27,7 @@ int main(int argc, char** argv) {
   config.policy = censor::gfc_profile();
   config.policy.blocked_ips.push_back(core::TestbedAddresses{}.web_blocked);
   config.enable_observability = true;
+  config.enable_provenance = true;
 
   core::Testbed tb(config);
 
@@ -49,19 +52,17 @@ int main(int argc, char** argv) {
   std::printf("evasion : %s (no targeted alert stored by the MVR)\n",
               risk.evaded ? "PASS" : "FAIL");
 
-  // Observability export: metrics snapshot + flight-recorder trace.
-  std::string metrics = tb.metrics_json();
-  if (FILE* f = std::fopen(metrics_path, "w")) {
-    std::fwrite(metrics.data(), 1, metrics.size(), f);
-    std::fclose(f);
+  // Observability export: metrics snapshot + provenance Chrome trace.
+  if (std::ofstream out(metrics_path); out << tb.metrics_json()) {
     std::printf("\nmetrics : %s (%zu series)\n", metrics_path,
                 tb.metrics().series_count());
   }
-  if (tb.tracer().save(trace_path)) {
+  const obs::ProvenanceGraph& graph = tb.provenance();
+  if (std::ofstream out(trace_path); out << obs::to_chrome_json(graph)) {
     std::printf("trace   : %s (%zu events, %llu dropped) — open in "
                 "chrome://tracing\n",
-                trace_path, tb.tracer().size(),
-                static_cast<unsigned long long>(tb.tracer().dropped()));
+                trace_path, graph.size(),
+                static_cast<unsigned long long>(graph.dropped()));
   }
   return accurate && risk.evaded ? 0 : 1;
 }

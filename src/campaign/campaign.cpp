@@ -180,23 +180,29 @@ void finalize_campaign(
         ->counter("sm_campaign_worker_trials_total", worker_label,
                   "trials completed per worker")
         ->inc();
+    // Seconds accumulate in gauges: a Counter holds whole units.
     result.telemetry
-        ->counter("sm_campaign_worker_busy_seconds_total", worker_label,
-                  "host time each worker spent inside trials")
-        ->inc(t.wall_elapsed.to_seconds());
+        ->gauge("sm_campaign_worker_busy_seconds_total", worker_label,
+                "host time each worker spent inside trials")
+        ->add(t.wall_elapsed.to_seconds());
+    // Teardown (Testbed and probe destructors) is the rest of the wall
+    // time, so the four phases sum to the trial's wall_elapsed.
     struct {
       const char* phase;
       common::Duration d;
     } phases[] = {{"setup", t.wall_setup},
                   {"run", t.wall_run},
-                  {"finish", t.wall_finish}};
+                  {"finish", t.wall_finish},
+                  {"teardown", t.wall_elapsed - t.wall_setup - t.wall_run -
+                                   t.wall_finish}};
     for (const auto& p : phases) {
       result.telemetry
-          ->counter("sm_campaign_phase_wall_seconds_total",
-                    {{"phase", p.phase}},
-                    "host time per trial phase (setup = testbed build, "
-                    "run = probe+drain, finish = risk/metrics/provenance)")
-          ->inc(p.d.to_seconds());
+          ->gauge("sm_campaign_phase_wall_seconds_total",
+                  {{"phase", p.phase}},
+                  "host time per trial phase (setup = testbed build, "
+                  "run = probe+drain, finish = risk/metrics/provenance, "
+                  "teardown = testbed and probe destruction)")
+          ->add(p.d.to_seconds());
     }
   }
   // Slow-trial detection: wall time against the campaign median. A trial
@@ -293,9 +299,9 @@ std::string CampaignResult::to_jsonl() const {
   std::string out;
   for (const TrialResult& t : trials) {
     out += "{\"trial\":" + std::to_string(t.index) + ",\"name\":\"" +
-           core::json_escape(t.name) + "\",";
+           common::json_escape(t.name) + "\",";
     if (t.failed) {
-      out += "\"error\":\"" + core::json_escape(t.error) + "\"";
+      out += "\"error\":\"" + common::json_escape(t.error) + "\"";
     } else {
       out += "\"measurement\":" + core::to_json(t.report) +
              ",\"risk\":" + core::to_json(t.risk) +

@@ -41,7 +41,7 @@
 namespace sm::campaign {
 
 /// Factory signature: builds a probe bound to the given testbed (same
-/// shape as the scheduler's and bench_util's factories).
+/// shape as bench_util's factories).
 using ProbeFactory =
     std::function<std::unique_ptr<core::Probe>(core::Testbed&)>;
 
@@ -163,7 +163,7 @@ struct CampaignResult {
   /// Trials restored from a checkpoint instead of executed this run.
   size_t resumed = 0;
   /// Campaign-health telemetry: per-worker trial counts and busy time,
-  /// wall-clock phase profile (setup/run/finish), trial wall-time
+  /// wall-clock phase profile (setup/run/finish/teardown), trial wall-time
   /// distribution, slow-trial count. Kept OUT of `metrics` and never
   /// serialized by to_jsonl — wall clocks vary run to run and would
   /// break byte-identity.

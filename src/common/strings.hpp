@@ -33,6 +33,12 @@ std::optional<long> parse_int(std::string_view s);
 /// Joins with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
+/// Escapes a string for inclusion inside JSON quotes (RFC 8259): quote,
+/// backslash and every byte below 0x20 are escaped; other bytes,
+/// multibyte UTF-8 included, pass through. The one JSON string escaper
+/// every export shares.
+std::string json_escape(std::string_view s);
+
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

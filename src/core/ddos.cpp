@@ -15,10 +15,6 @@ DdosProbe::DdosProbe(Testbed& tb, DdosOptions options)
 }
 
 void DdosProbe::start() {
-  if (auto* tracer = tb_.trace_sink()) {
-    tracer->instant(tracer->now(), "ddos.start", "probe",
-                    "\"requests\":" + std::to_string(options_.requests));
-  }
   prov_.begin(tb_.prov_sink(), tb_.net.engine().now(), report_);
   resolve();
 }
@@ -151,11 +147,6 @@ void DdosProbe::finalize() {
   report_.attempts = max_fetch;
   prov_.verdict(tb_.net.engine().now(), report_);
   done_ = true;
-  if (auto* tracer = tb_.trace_sink()) {
-    tracer->instant(tracer->now(), "ddos.done", "probe",
-                    common::format("\"ok\":%zu,\"blocked\":%zu", ok,
-                                   blocked));
-  }
 }
 
 }  // namespace sm::core

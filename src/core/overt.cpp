@@ -1,23 +1,13 @@
 #include "core/overt.hpp"
 
 #include "common/strings.hpp"
-#include "core/report_json.hpp"
 
 namespace sm::core {
 
 ProbeReport run_probe(Testbed& tb, Probe& probe, common::Duration timeout) {
-  obs::Tracer* tracer = tb.trace_sink();
-  common::SimTime begin = tracer ? tracer->now() : common::SimTime{};
   probe.start();
   tb.run_until([&probe]() { return probe.done(); }, timeout);
   ProbeReport report = probe.report();
-  if (tracer) {
-    tracer->complete(begin, tracer->now(), "probe:" + report.technique,
-                     "probe",
-                     "\"target\":\"" + json_escape(report.target) +
-                         "\",\"verdict\":\"" +
-                         std::string(to_string(report.verdict)) + "\"");
-  }
   obs::Registry& reg = tb.metrics();
   if (reg.enabled()) {
     obs::Labels labels = {{"technique", report.technique}};

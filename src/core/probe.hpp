@@ -22,8 +22,9 @@ class Probe {
 
  protected:
   /// Lifetime token. A probe's scheduled timers and reply handlers can
-  /// outlive it (the campaign scheduler frees each probe before running
-  /// the next, while its timeout events still sit in the engine queue),
+  /// outlive it (a caller running several probes on one testbed frees
+  /// each before starting the next, while its timeout events still sit
+  /// in the engine queue),
   /// so every [this]-capturing callback handed to the event loop must
   /// also capture guard() and return immediately if it has expired.
   std::weak_ptr<void> guard() const { return alive_; }
@@ -34,8 +35,7 @@ class Probe {
 
 /// Per-probe provenance recorder: the uniform shape every probe family
 /// uses to hang its lifecycle on the causal graph. All methods no-op on
-/// a null graph, so probes instrument unconditionally (same contract as
-/// trace_sink()).
+/// a null graph, so probes instrument unconditionally.
 ///
 ///   prov_.begin(tb.prov_sink(), now, report_);   // ProbeStart (root)
 ///   prov_.attempt(now, n);                       // Attempt, child of start

@@ -4,28 +4,7 @@
 
 namespace sm::core {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          out += common::format("\\u%04x", c);
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
+using common::json_escape;
 
 std::string to_json(const ProbeReport& report) {
   const Confidence& c = report.confidence;
@@ -67,16 +46,6 @@ std::string to_jsonl(
            ",\"risk\":" + to_json(risk) + "}\n";
   }
   return out;
-}
-
-std::string metrics_json_block(const obs::Registry& registry) {
-  return registry.to_json();
-}
-
-std::string to_jsonl(
-    const std::vector<std::pair<ProbeReport, RiskReport>>& results,
-    const obs::Registry& registry) {
-  return to_jsonl(results) + metrics_json_block(registry) + "\n";
 }
 
 }  // namespace sm::core

@@ -18,10 +18,6 @@ ScanProbe::~ScanProbe() {
 }
 
 void ScanProbe::start() {
-  if (auto* tracer = tb_.trace_sink()) {
-    tracer->instant(tracer->now(), "scan.start", "probe",
-                    "\"ports\":" + std::to_string(options_.ports.size()));
-  }
   prov_.begin(tb_.prov_sink(), tb_.net.engine().now(), report_);
   // Watch raw replies from the target (deregistered in the destructor).
   promisc_id_ = tb_.client->add_promiscuous(
@@ -163,12 +159,6 @@ void ScanProbe::finalize() {
   report_.confidence = conclude(exp_open, exp_rst, exp_silent);
   prov_.verdict(tb_.net.engine().now(), report_);
   done_ = true;
-  if (auto* tracer = tb_.trace_sink()) {
-    tracer->instant(tracer->now(), "scan.done", "probe",
-                    common::format("\"open\":%zu,\"closed\":%zu,"
-                                   "\"filtered\":%zu",
-                                   open, closed, filtered));
-  }
 }
 
 }  // namespace sm::core

@@ -53,16 +53,9 @@ void SpamProbe::finish(Verdict v, std::string detail) {
   }
   prov_.verdict(tb_.net.engine().now(), report_);
   done_ = true;
-  if (auto* tracer = tb_.trace_sink()) {
-    tracer->instant(tracer->now(), "spam.done", "probe",
-                    "\"verdict\":\"" + std::string(to_string(v)) + "\"");
-  }
 }
 
 void SpamProbe::start() {
-  if (auto* tracer = tb_.trace_sink()) {
-    tracer->instant(tracer->now(), "spam.start", "probe");
-  }
   prov_.begin(tb_.prov_sink(), tb_.net.engine().now(), report_);
   begin_attempt();
 }

@@ -27,10 +27,6 @@ SynReachabilityProbe::~SynReachabilityProbe() {
 }
 
 void SynReachabilityProbe::start() {
-  if (auto* tracer = tb_.trace_sink()) {
-    tracer->instant(tracer->now(), "synprobe.start", "probe",
-                    "\"cover\":" + std::to_string(options_.cover_count));
-  }
   prov_.begin(tb_.prov_sink(), tb_.net.engine().now(), report_);
   sport_ = tb_.client->alloc_ephemeral_port();
   iss_ = 0xC0DE0000 | sport_;
@@ -150,10 +146,6 @@ void SynReachabilityProbe::finalize() {
                  common::format("%zu attempts", attempts));
   prov_.verdict(tb_.net.engine().now(), report_);
   done_ = true;
-  if (auto* tracer = tb_.trace_sink()) {
-    tracer->instant(tracer->now(), "synprobe.done", "probe",
-                    "\"verdict\":\"blocked-timeout\"");
-  }
 }
 
 }  // namespace sm::core

@@ -1,6 +1,6 @@
 // Measurement target lists, in the Citizen-Lab test-list tradition: a
 // CSV of domains with categories ("the censorship measurement community's
-// shared shopping list"). The scheduler consumes these to run campaigns;
+// shared shopping list"). Campaigns turn these into trials;
 // categories let reports break results down the way platforms publish
 // them.
 #pragma once

@@ -24,15 +24,10 @@ proto::http::Response open_site_page(const proto::http::Request& req) {
 }  // namespace
 
 Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
-  // Observability first, so the tracer sees topology setup events too.
+  // Observability first, so provenance sees topology setup events too.
   metrics_ = std::make_unique<obs::Registry>();
   metrics_->set_enabled(config_.enable_observability);
-  tracer_ = std::make_unique<obs::Tracer>(config_.trace_capacity);
-  tracer_->set_enabled(config_.enable_observability);
-  if (config_.enable_observability) net.engine().set_tracer(tracer_.get());
-  provenance_ =
-      std::make_unique<obs::ProvenanceGraph>(config_.provenance_capacity);
-  provenance_->set_enabled(config_.enable_provenance);
+  provenance_ = std::make_unique<obs::ProvenanceGraph>();
   if (config_.enable_provenance) {
     net.engine().set_provenance(provenance_.get());
   }
@@ -155,12 +150,6 @@ obs::Registry& Testbed::metrics_snapshot() {
   reg.counter("sm_capture_dropped_total", {},
               "capture records evicted by the max_records cap")
       ->set(trace->dropped());
-  reg.gauge("sm_trace_events_recorded", {},
-            "sim-time trace records currently retained")
-      ->set(static_cast<double>(tracer_->size()));
-  reg.counter("sm_trace_events_dropped_total", {},
-              "sim-time trace records overwritten in the ring")
-      ->set(tracer_->dropped());
   if (config_.enable_provenance) {
     reg.gauge("sm_provenance_events", {},
               "provenance events currently retained in the ring")

@@ -24,7 +24,6 @@
 #include "netsim/trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"
 #include "proto/dns/client.hpp"
 #include "proto/dns/server.hpp"
 #include "proto/http/client.hpp"
@@ -70,14 +69,11 @@ struct TestbedConfig {
   common::Duration dns_timeout = common::Duration::millis(2000);
   /// Shared secret for stateful mimicry ISN prediction.
   uint64_t mimicry_secret = 0xFEED5EED;
-  /// Turns on the observability layer: the sim-time tracer records every
-  /// engine event and probe span, and metrics_snapshot() bridges all
-  /// subsystem counters into the registry. Off by default; enabling it
-  /// changes no verdict, alert count, or event ordering — only what gets
-  /// recorded about them.
+  /// Turns on the metrics layer: probes count their runs and
+  /// metrics_snapshot() bridges all subsystem counters into the
+  /// registry. Off by default; enabling it changes no verdict, alert
+  /// count, or event ordering — only what gets recorded about them.
   bool enable_observability = false;
-  /// Flight-recorder ring capacity for the tracer (records kept).
-  size_t trace_capacity = 1 << 16;
   /// Bound on the packet-capture tap (0 = unbounded; see
   /// TraceTap::set_max_records).
   size_t capture_max_records = 0;
@@ -87,8 +83,6 @@ struct TestbedConfig {
   /// their causing packets either way); like it, enabling changes no
   /// verdict or event ordering — only what gets recorded.
   bool enable_provenance = false;
-  /// Drop-oldest ring capacity for the provenance graph (events kept).
-  size_t provenance_capacity = 1 << 16;
 };
 
 /// Well-known addresses inside the testbed.
@@ -148,22 +142,15 @@ class Testbed {
   const TestbedConfig& config() const { return config_; }
   const TestbedAddresses& addr() const { return addr_; }
 
-  // Observability (always constructed; enabled per
-  // TestbedConfig::enable_observability).
+  // Observability: the metrics registry and the provenance graph, always
+  // constructed; enabled per TestbedConfig::enable_observability and
+  // enable_provenance.
   obs::Registry& metrics() { return *metrics_; }
   const obs::Registry& metrics() const { return *metrics_; }
-  obs::Tracer& tracer() { return *tracer_; }
-  /// The tracer when observability is on, nullptr otherwise — probe code
-  /// hands this straight to obs::ScopedSpan / instant() call sites.
-  obs::Tracer* trace_sink() {
-    return config_.enable_observability ? tracer_.get() : nullptr;
-  }
-
   obs::ProvenanceGraph& provenance() { return *provenance_; }
   const obs::ProvenanceGraph& provenance() const { return *provenance_; }
   /// The graph when provenance is on, nullptr otherwise — probes hand
-  /// this to record()/ScopedCause call sites (same pattern as
-  /// trace_sink()).
+  /// this to record()/ScopedCause call sites, which no-op on null.
   obs::ProvenanceGraph* prov_sink() {
     return config_.enable_provenance ? provenance_.get() : nullptr;
   }
@@ -196,7 +183,6 @@ class Testbed {
   TestbedConfig config_;
   TestbedAddresses addr_;
   std::unique_ptr<obs::Registry> metrics_;
-  std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::ProvenanceGraph> provenance_;
 };
 

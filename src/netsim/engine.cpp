@@ -137,16 +137,6 @@ bool Engine::ensure_due() {
   }
 }
 
-void Engine::set_tracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_) tracer_->set_clock([this] { return now_; });
-}
-
-void Engine::trace_executed(const common::SimTime& when) {
-  tracer_->instant(when, "event", "netsim",
-                   "\"queue\":" + std::to_string(pending()));
-}
-
 size_t Engine::run(size_t max_events) {
   size_t n = 0;
   while (n < max_events && ensure_due()) {
@@ -158,13 +148,11 @@ size_t Engine::run(size_t max_events) {
     cur.action();
     ++n;
     ++executed_;
-    if (tracer_ && tracer_->enabled()) trace_executed(cur.when);
   }
   return n;
 }
 
 size_t Engine::run_until(SimTime deadline) {
-  SimTime begin = now_;
   size_t n = 0;
   while (ensure_due() && due_[due_head_].when <= deadline) {
     Event cur = std::move(due_[due_head_]);
@@ -175,13 +163,8 @@ size_t Engine::run_until(SimTime deadline) {
     cur.action();
     ++n;
     ++executed_;
-    if (tracer_ && tracer_->enabled()) trace_executed(cur.when);
   }
   if (now_ < deadline) now_ = deadline;
-  if (tracer_ && tracer_->enabled() && n > 0) {
-    tracer_->complete(begin, now_, "run_until", "netsim",
-                      "\"events\":" + std::to_string(n));
-  }
   return n;
 }
 

@@ -26,7 +26,6 @@
 
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace sm::obs {
 class ProvenanceGraph;
@@ -147,18 +146,10 @@ class Engine {
   size_t pending() const { return live_ - cancelled_.size(); }
   size_t executed() const { return executed_; }
 
-  /// Attaches a sim-time tracer: each executed event records an instant
-  /// (name = "event", args = queue depth) and run_until() records a
-  /// spanning slice. Also binds the tracer's clock to this engine. Pass
-  /// nullptr to detach. Costs one branch per event when attached and
-  /// nothing when not.
-  void set_tracer(obs::Tracer* tracer);
-  obs::Tracer* tracer() const { return tracer_; }
-
   /// Attaches a provenance graph: links, routers, and taps reach it
   /// through their engine reference and record causal events when it is
-  /// non-null. Same cost model as the tracer — one null check per hook
-  /// when detached. Pass nullptr to detach.
+  /// non-null: one null check per hook when detached. Pass nullptr to
+  /// detach.
   void set_provenance(obs::ProvenanceGraph* provenance) {
     provenance_ = provenance;
   }
@@ -202,7 +193,6 @@ class Engine {
   /// migrating far-list events as needed. False if nothing is pending.
   bool ensure_due();
   void migrate_far();
-  void trace_executed(const common::SimTime& when);
 
   std::vector<Event> slots_[kLevels][kSlots];
   uint64_t occupied_[kLevels] = {};  // bit s set <=> slots_[l][s] nonempty
@@ -225,7 +215,6 @@ class Engine {
   size_t executed_ = 0;
   size_t live_ = 0;  // events in slots_/far_/due_ (incl. cancelled)
   size_t queue_high_water_ = 0;
-  obs::Tracer* tracer_ = nullptr;
   obs::ProvenanceGraph* provenance_ = nullptr;
 };
 

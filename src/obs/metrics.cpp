@@ -10,8 +10,9 @@ namespace sm::obs {
 
 namespace {
 
-/// Escapes a label value / help string for both the JSON snapshot and
-/// Prometheus exposition (the shared subset: backslash, quote, newline).
+/// Escapes a label value / help string for Prometheus exposition (and
+/// the series key built from it), which escapes exactly backslash,
+/// quote and newline. The JSON snapshot uses common::json_escape.
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -189,11 +190,12 @@ std::string Registry::to_json() const {
     for (const auto& [key, s] : fam.series) {
       if (!first) out += ',';
       first = false;
-      out += "{\"name\":\"" + escape(name) + "\",\"labels\":{";
+      out += "{\"name\":\"" + common::json_escape(name) +
+             "\",\"labels\":{";
       for (size_t i = 0; i < s.labels.size(); ++i) {
         if (i) out += ',';
-        out += "\"" + escape(s.labels[i].first) + "\":\"" +
-               escape(s.labels[i].second) + "\"";
+        out += "\"" + common::json_escape(s.labels[i].first) + "\":\"" +
+               common::json_escape(s.labels[i].second) + "\"";
       }
       out += "},\"kind\":\"";
       out += kind_name(static_cast<int>(fam.kind));

@@ -1,6 +1,7 @@
 #include "obs/provenance.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/strings.hpp"
 
@@ -8,19 +9,11 @@ namespace sm::obs {
 
 namespace {
 
-// Shared JSON string escaping (subset used by the metrics exporter).
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
+/// Sim nanoseconds -> trace_event microseconds. Three decimals keep full
+/// nanosecond precision and render deterministically.
+std::string micros(int64_t nanos) {
+  return common::format("%lld.%03lld", static_cast<long long>(nanos / 1000),
+                        static_cast<long long>(nanos % 1000));
 }
 
 struct KindName {
@@ -90,23 +83,6 @@ std::string summarize_wire(const uint8_t* data, size_t len) {
 ProvenanceGraph::ProvenanceGraph(size_t capacity)
     : ring_(std::max<size_t>(1, capacity)) {}
 
-void ProvenanceGraph::set_capacity(size_t capacity) {
-  std::vector<ProvEvent> kept = events();  // oldest first
-  ring_.assign(std::max<size_t>(1, capacity), ProvEvent{});
-  next_ = 0;
-  count_ = 0;
-  size_t start = 0;
-  if (kept.size() > ring_.size()) {
-    start = kept.size() - ring_.size();
-    dropped_ += start;
-  }
-  for (size_t i = start; i < kept.size(); ++i) {
-    ring_[next_] = std::move(kept[i]);
-    next_ = (next_ + 1) % ring_.size();
-    ++count_;
-  }
-}
-
 ProvEvent& ProvenanceGraph::push(ProvEvent ev) {
   if (count_ == ring_.size()) ++dropped_;
   ProvEvent& slot = ring_[next_];
@@ -119,7 +95,6 @@ ProvEvent& ProvenanceGraph::push(ProvEvent ev) {
 uint64_t ProvenanceGraph::record(ProvKind kind, common::SimTime ts,
                                  uint64_t cause, uint64_t packet,
                                  std::string what, std::string detail) {
-  if (!enabled_) return 0;
   ProvEvent ev;
   ev.id = ++total_;
   ev.cause = cause;
@@ -135,7 +110,6 @@ uint64_t ProvenanceGraph::record(ProvKind kind, common::SimTime ts,
 uint64_t ProvenanceGraph::record_verdict(common::SimTime ts, uint64_t cause,
                                          std::string what, std::string detail,
                                          std::vector<uint64_t> evidence) {
-  if (!enabled_) return 0;
   ProvEvent ev;
   ev.id = ++total_;
   ev.cause = cause;
@@ -150,7 +124,6 @@ uint64_t ProvenanceGraph::record_verdict(common::SimTime ts, uint64_t cause,
 
 uint64_t ProvenanceGraph::record_packet(common::SimTime ts,
                                         const uint8_t* data, size_t len) {
-  if (!enabled_) return 0;
   return record(ProvKind::PacketSent, ts, current_cause_, 0,
                 summarize_wire(data, len));
 }
@@ -231,8 +204,9 @@ std::string ProvenanceGraph::to_json() const {
     if (ev.packet != 0) out += ",\"packet\":" + std::to_string(ev.packet);
     out += ",\"t\":" + std::to_string(ev.ts.count()) + ",\"kind\":\"";
     out += to_string(ev.kind);
-    out += "\",\"what\":\"" + escape(ev.what) + "\"";
-    if (!ev.detail.empty()) out += ",\"detail\":\"" + escape(ev.detail) + "\"";
+    out += "\",\"what\":\"" + common::json_escape(ev.what) + "\"";
+    if (!ev.detail.empty())
+      out += ",\"detail\":\"" + common::json_escape(ev.detail) + "\"";
     if (!ev.refs.empty()) {
       out += ",\"refs\":[";
       for (size_t r = 0; r < ev.refs.size(); ++r) {
@@ -245,6 +219,84 @@ std::string ProvenanceGraph::to_json() const {
   }
   out += "],\"total\":" + std::to_string(total_) +
          ",\"dropped\":" + std::to_string(dropped_) + "}";
+  return out;
+}
+
+std::string to_chrome_json(const ProvenanceGraph& g) {
+  const std::vector<ProvEvent> events = g.events();
+  const size_t n = events.size();
+  // One pass, oldest first. A cause's id is smaller than its event's, so
+  // the cause's tid is known when the event comes up: the event inherits
+  // it, and a chain root takes its own id if it is a probe-start, else
+  // 0. Spans close in the same pass: an attempt or verdict ends its
+  // probe's open attempt, and the verdict ends the probe.
+  std::vector<uint64_t> tid(n, 0);
+  std::vector<common::SimTime> end(n, n ? events.back().ts : common::SimTime{});
+  std::vector<size_t> verdict(n, n);  // probe-start index -> verdict index
+  std::unordered_map<uint64_t, size_t> open_attempt;  // probe id -> index
+  for (size_t i = 0; i < n; ++i) {
+    const ProvEvent& ev = events[i];
+    auto cause = std::lower_bound(
+        events.begin(), events.begin() + static_cast<ptrdiff_t>(i), ev.cause,
+        [](const ProvEvent& e, uint64_t id) { return e.id < id; });
+    const size_t c = static_cast<size_t>(cause - events.begin());
+    const bool retained = c < i && cause->id == ev.cause;
+    tid[i] = retained ? tid[c] : ev.kind == ProvKind::ProbeStart ? ev.id : 0;
+    if (ev.kind != ProvKind::Attempt && ev.kind != ProvKind::Verdict) continue;
+    if (auto it = open_attempt.find(ev.cause); it != open_attempt.end()) {
+      end[it->second] = ev.ts;
+      open_attempt.erase(it);
+    }
+    if (ev.kind == ProvKind::Attempt) {
+      open_attempt[ev.cause] = i;
+    } else if (retained && events[c].kind == ProvKind::ProbeStart &&
+               verdict[c] == n) {
+      end[c] = ev.ts;
+      verdict[c] = i;
+    }
+  }
+
+  auto str = [](std::string_view key, std::string_view value) {
+    return "\"" + std::string(key) + "\":\"" + common::json_escape(value) +
+           "\"";
+  };
+  std::string out = "{\"traceEvents\":[";
+  for (size_t i = 0; i < n; ++i) {
+    const ProvEvent& ev = events[i];
+    const bool probe = ev.kind == ProvKind::ProbeStart;
+    const bool span = probe || ev.kind == ProvKind::Attempt;
+    out += i ? ",{" : "{";
+    out += str("name", probe  ? ev.what
+                       : span ? "attempt " + ev.detail
+                              : std::string(to_string(ev.kind)));
+    out += probe ? ",\"cat\":\"probe\",\"ph\":\"X\""
+           : span ? ",\"cat\":\"attempt\",\"ph\":\"X\""
+                  : ",\"cat\":\"provenance\",\"ph\":\"i\",\"s\":\"t\"";
+    out += ",\"ts\":" + micros(ev.ts.count());
+    if (span) {
+      out += ",\"dur\":" +
+             micros(std::max<int64_t>(0, (end[i] - ev.ts).count()));
+    }
+    out += ",\"pid\":1,\"tid\":" + std::to_string(tid[i]) + ",\"args\":{";
+    if (probe) {
+      out += str("technique", ev.what) + "," + str("target", ev.detail);
+      if (verdict[i] != n) {
+        out += "," + str("verdict", events[verdict[i]].what) + "," +
+               str("confidence", events[verdict[i]].detail);
+      }
+    } else {
+      out += "\"id\":" + std::to_string(ev.id);
+      if (!span) {
+        out += ",\"cause\":" + std::to_string(ev.cause) +
+               ",\"packet\":" + std::to_string(ev.packet) + "," +
+               str("what", ev.what) + "," + str("detail", ev.detail);
+      }
+    }
+    out += "}}";
+  }
+  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"sim\","
+         "\"total\":" + std::to_string(g.total()) +
+         ",\"dropped\":" + std::to_string(g.dropped()) + "}}";
   return out;
 }
 

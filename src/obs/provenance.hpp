@@ -11,12 +11,16 @@
 // clutter?" — the question simcheck's O4 oracle and the sm-explain CLI
 // both ask.
 //
-// Determinism contract (same as metrics/trace): event ids are dense
-// sequence numbers, timestamps are SimTime, and nothing wall-clock or
-// address-dependent ever enters an event, so to_json() is byte-identical
-// across -j1/-jN and shard modes. Storage is a drop-oldest ring with a
-// drops counter: long runs keep the most recent window and the export
-// says exactly how much history fell off.
+// The graph is the repo's one sim-time event log: to_chrome_json()
+// renders it as a Chrome trace_event timeline (probe and attempt spans,
+// every other event an instant) for chrome://tracing or Perfetto.
+//
+// Determinism contract (same as metrics): event ids are dense sequence
+// numbers, timestamps are SimTime, and nothing wall-clock or
+// address-dependent ever enters an event, so both exports are
+// byte-identical across -j1/-jN and shard modes. Storage is a
+// drop-oldest ring with a drops counter: long runs keep the most recent
+// window and the export says exactly how much history fell off.
 #pragma once
 
 #include <cstddef>
@@ -73,15 +77,8 @@ class ProvenanceGraph {
  public:
   explicit ProvenanceGraph(size_t capacity = 1 << 16);
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-  /// Resizes the ring. Existing records are kept (newest first) up to
-  /// the new capacity; evicted ones count as drops.
-  void set_capacity(size_t capacity);
-  size_t capacity() const { return ring_.size(); }
-
-  /// Records one event and returns its id (0 when disabled). `cause` and
-  /// `packet` are event ids from earlier record() calls, 0 for none.
+  /// Records one event and returns its id. `cause` and `packet` are
+  /// event ids from earlier record() calls, 0 for none.
   uint64_t record(ProvKind kind, common::SimTime ts, uint64_t cause,
                   uint64_t packet, std::string what,
                   std::string detail = "");
@@ -135,7 +132,6 @@ class ProvenanceGraph {
   friend class ScopedCause;
   ProvEvent& push(ProvEvent ev);
 
-  bool enabled_ = true;
   std::vector<ProvEvent> ring_;
   size_t next_ = 0;   // write position
   size_t count_ = 0;  // valid records (<= capacity)
@@ -184,6 +180,19 @@ std::vector<AlertAttribution> attribute_alerts(const ProvenanceGraph& g);
 /// its evidence chain first, then every stored alert with its full
 /// attribution chain. This is what `sm-explain` prints per trial.
 std::string explain_text(const ProvenanceGraph& g);
+
+/// Chrome trace_event JSON of the retained events, in sim time:
+///   {"traceEvents":[...],"displayTimeUnit":"ms",
+///    "otherData":{"clock":"sim","total":N,"dropped":N}}
+/// Each probe is one "X" span from its probe-start to its verdict (args
+/// technique, target, verdict, confidence) on its own tid, equal to the
+/// probe-start id; each attempt is an "X" span nested in it, ending at
+/// the probe's next attempt or its verdict. Every other event is an "i"
+/// instant (args id, cause, packet, what, detail) on the tid of its
+/// cause chain's root probe, or tid 0 when that root is not a retained
+/// probe-start. A span with no retained end runs to the newest event.
+/// ts/dur are sim microseconds with three decimals. Byte-deterministic.
+std::string to_chrome_json(const ProvenanceGraph& g);
 
 /// "tcp 10.0.0.1:1234>10.0.0.2:80"-style summary of an IPv4 datagram's
 /// wire bytes (best-effort; never throws on truncated input).

@@ -183,8 +183,6 @@ class Packet {
   uint64_t prov_id() const { return prov_id_; }
   void set_prov_id(uint64_t id) { prov_id_ = id; }
 
-  std::string to_string() const;  // one-line summary, see print.cpp
-
  private:
   Bytes data_;
   uint64_t prov_id_ = 0;

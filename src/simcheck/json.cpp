@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/report_json.hpp"
+#include "common/strings.hpp"
 
 namespace sm::simcheck {
 
@@ -117,7 +117,7 @@ void Json::write(std::string& out, int indent, int depth) const {
     }
     case Kind::String:
       out += '"';
-      out += core::json_escape(string_);
+      out += common::json_escape(string_);
       out += '"';
       break;
     case Kind::Array: {
@@ -137,7 +137,7 @@ void Json::write(std::string& out, int indent, int depth) const {
         if (i) out += ',';
         newline(depth + 1);
         out += '"';
-        out += core::json_escape(object_[i].first);
+        out += common::json_escape(object_[i].first);
         out += "\":";
         if (indent > 0) out += ' ';
         object_[i].second.write(out, indent, depth + 1);

@@ -2,8 +2,8 @@
 // deterministic writer.
 //
 // The rest of the tree only ever *emits* JSON (hand-rolled format
-// strings in core/report_json and obs/metrics). simcheck also has to
-// *read* it back: checked-in counterexamples in tests/corpus/ are
+// strings over common::json_escape). simcheck also has to *read* it
+// back: checked-in counterexamples in tests/corpus/ are
 // `{seed, scenario}` JSON documents that must replay byte-for-byte
 // across sessions. No external dependency, so a small parser lives
 // here. Objects keep insertion order on write but compare by content;

@@ -278,6 +278,47 @@ TEST(CampaignJobs, EmptyCampaignYieldsMetricsOnlyReport) {
   EXPECT_NE(jsonl.find("\"metrics\""), std::string::npos);
 }
 
+// --- wall-clock telemetry ---------------------------------------------
+
+TEST(CampaignTelemetry, PhasesSumToTrialWallTime) {
+  // setup + run + finish + teardown account for every trial's whole wall
+  // time, and so do the workers' busy seconds, whether the trials ran in
+  // threads or in forked shards.
+  for (campaign::Backend backend :
+       {campaign::Backend::Thread, campaign::Backend::Process}) {
+    campaign::CampaignOptions options;
+    options.threads = 2;
+    options.backend = backend;
+    campaign::CampaignResult result = campaign::run(small_workload(), options);
+    ASSERT_NE(result.telemetry, nullptr);
+    double walls = 0, busy = 0;
+    std::set<int> workers;
+    for (const campaign::TrialResult& t : result.trials) {
+      walls += t.wall_elapsed.to_seconds();
+      workers.insert(t.worker);
+    }
+    for (int w : workers) {
+      busy += result.telemetry
+                  ->gauge("sm_campaign_worker_busy_seconds_total",
+                          {{"worker", std::to_string(w)}})
+                  ->value();
+    }
+    EXPECT_NEAR(busy, walls, 1e-9);
+    double phases = 0;
+    for (const char* phase : {"setup", "run", "finish", "teardown"}) {
+      double seconds =
+          result.telemetry
+              ->gauge("sm_campaign_phase_wall_seconds_total",
+                      {{"phase", phase}})
+              ->value();
+      EXPECT_GT(seconds, 0.0) << phase;
+      phases += seconds;
+    }
+    EXPECT_GT(walls, 0.0);
+    EXPECT_NEAR(phases, walls, 1e-9);
+  }
+}
+
 // --- logging thread safety & worker tagging ---------------------------
 
 TEST(LoggingWorkers, WorkerIdTagsTheComponent) {

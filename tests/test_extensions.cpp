@@ -1,12 +1,11 @@
 // Tests for the extension mechanisms: blockpage injection, DNS query
-// dropping, the stateless SYN reachability probe, the measurement
-// scheduler, and the TTL-normalizer countermeasure.
+// dropping, the stateless SYN reachability probe, and the TTL-normalizer
+// countermeasure.
 #include <gtest/gtest.h>
 
 #include "core/overt.hpp"
 #include "core/probe.hpp"
 #include "core/risk.hpp"
-#include "core/scheduler.hpp"
 #include "core/scan.hpp"
 #include "core/spam.hpp"
 #include "core/synprobe.hpp"
@@ -107,31 +106,6 @@ TEST(SynReachability, CoverImplicatesNeighbors) {
       sources.insert(d->ip.src.value());
   }
   EXPECT_EQ(sources.size(), 9u);
-}
-
-TEST(Scheduler, RunsQueueInOrderWithPacing) {
-  Testbed tb;
-  MeasurementScheduler scheduler(tb);
-  scheduler.enqueue([](Testbed& t) {
-    return std::make_unique<OvertDnsProbe>(
-        t, OvertDnsOptions{.domain = "open.example"});
-  });
-  scheduler.enqueue([](Testbed& t) {
-    return std::make_unique<OvertDnsProbe>(
-        t, OvertDnsOptions{.domain = "twitter.com"});
-  });
-  scheduler.enqueue([](Testbed& t) {
-    return std::make_unique<SpamProbe>(
-        t, SpamOptions{.domain = "open.example"});
-  });
-  auto reports = scheduler.run_all();
-  ASSERT_EQ(reports.size(), 3u);
-  EXPECT_EQ(reports[0].verdict, Verdict::Reachable);
-  EXPECT_EQ(reports[1].verdict, Verdict::BlockedDnsForgery);
-  EXPECT_EQ(reports[2].verdict, Verdict::Reachable);
-  EXPECT_EQ(scheduler.pending(), 0u);
-  // Time advanced by the jittered gaps, not zero.
-  EXPECT_GT(tb.net.engine().now().count(), 0);
 }
 
 TEST(Normalizer, RaisesLowTtls) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "core/report_json.hpp"
+#include "simcheck/json.hpp"
 
 namespace sm::core {
 namespace {
+
+using common::json_escape;
 
 TEST(JsonEscape, PassesPlainText) {
   EXPECT_EQ(json_escape("hello world"), "hello world");
@@ -72,24 +76,15 @@ TEST(ToJsonl, OneObjectPerLine) {
 }
 
 TEST(ToJson, BalancedBracesAndQuotes) {
-  // Structural sanity: every emitted object has balanced braces and an
-  // even number of unescaped quotes.
+  // Structural sanity: the emitted object parses, and escaped strings
+  // come back byte-for-byte.
   ProbeReport p;
   p.technique = "q\"uo\\te";
   p.detail = "newline\nhere";
-  std::string json = to_json(p);
-  int depth = 0;
-  size_t quotes = 0;
-  for (size_t i = 0; i < json.size(); ++i) {
-    char c = json[i];
-    bool escaped = i > 0 && json[i - 1] == '\\' &&
-                   (i < 2 || json[i - 2] != '\\');
-    if (c == '{' && !escaped) ++depth;
-    if (c == '}' && !escaped) --depth;
-    if (c == '"' && !escaped) ++quotes;
-  }
-  EXPECT_EQ(depth, 0);
-  EXPECT_EQ(quotes % 2, 0u);
+  auto doc = simcheck::Json::parse(to_json(p));
+  ASSERT_TRUE(doc);
+  EXPECT_EQ(doc->get("technique")->as_string(), p.technique);
+  EXPECT_EQ(doc->get("detail")->as_string(), p.detail);
 }
 
 }  // namespace

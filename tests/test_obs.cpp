@@ -1,7 +1,6 @@
-// Observability layer: metrics registry determinism, Chrome-trace export
-// well-formedness, flight-recorder wraparound, logging sink capture, the
-// TraceTap record cap, and the no-behaviour-change guarantee when the
-// layer is enabled on a full testbed run.
+// Observability layer: metrics registry determinism, logging sink
+// capture, the TraceTap record cap, and the no-behaviour-change
+// guarantee when the layer is enabled on a full testbed run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,7 +23,8 @@
 #include "netsim/topology.hpp"
 #include "netsim/trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/provenance.hpp"
+#include "simcheck/json.hpp"
 #include "surveillance/mvr.hpp"
 
 namespace sm {
@@ -265,141 +265,15 @@ TEST(HistogramMetricMerge, MomentsAndClampInteraction) {
   EXPECT_TRUE(std::isinf(a.moments().max()));
 }
 
-// --- Tracer -----------------------------------------------------------
-
-/// Minimal structural JSON check: braces/brackets balance outside of
-/// string literals, and the document is a single object.
-void expect_balanced_json(const std::string& s) {
-  long depth = 0;
-  bool in_string = false, escaped = false;
-  for (char c : s) {
-    if (in_string) {
-      if (escaped) escaped = false;
-      else if (c == '\\') escaped = true;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == '{' || c == '[') ++depth;
-    else if (c == '}' || c == ']') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_FALSE(in_string);
-  EXPECT_EQ(depth, 0);
-  ASSERT_FALSE(s.empty());
-  EXPECT_EQ(s.front(), '{');
-  EXPECT_EQ(s.back(), '}');
-}
-
-TEST(Tracer, RecordsInstantsSpansAndCounters) {
-  obs::Tracer tracer(16);
-  tracer.instant(SimTime(1000), "hello", "test");
-  tracer.complete(SimTime(2000), SimTime(5000), "work", "test",
-                  "\"n\":3");
-  tracer.counter(SimTime(6000), "queue", "depth", 4);
-  ASSERT_EQ(tracer.size(), 3u);
-  auto events = tracer.events();
-  EXPECT_EQ(events[0].phase, 'i');
-  EXPECT_EQ(events[0].name, "hello");
-  EXPECT_EQ(events[1].phase, 'X');
-  EXPECT_EQ(events[1].dur.count(), 3000);
-  EXPECT_EQ(events[2].phase, 'C');
-  EXPECT_EQ(events[2].args_json, "\"depth\":4");
-}
-
-TEST(Tracer, RingBufferWraparoundKeepsNewest) {
-  obs::Tracer tracer(4);
-  for (int i = 0; i < 10; ++i) {
-    tracer.instant(SimTime(i * 100), "e" + std::to_string(i), "test");
-  }
-  EXPECT_EQ(tracer.size(), 4u);
-  EXPECT_EQ(tracer.dropped(), 6u);
-  auto events = tracer.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest retained is e6; order is chronological.
-  EXPECT_EQ(events.front().name, "e6");
-  EXPECT_EQ(events.back().name, "e9");
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-TEST(Tracer, ExportAfterWrapIsDeterministic) {
-  auto build = [] {
-    obs::Tracer tracer(8);
-    for (int i = 0; i < 50; ++i) {
-      tracer.instant(SimTime(i * 100), "e" + std::to_string(i), "wrap");
-    }
-    return tracer.to_chrome_json();
-  };
-  std::string first = build();
-  EXPECT_EQ(first, build());
-  EXPECT_NE(first.find("\"dropped\":42"), std::string::npos);
-  // Only the newest window survives the wrap.
-  EXPECT_EQ(first.find("\"e41\""), std::string::npos);
-  EXPECT_NE(first.find("\"e42\""), std::string::npos);
-  EXPECT_NE(first.find("\"e49\""), std::string::npos);
-}
-
-TEST(Tracer, ChromeExportIsWellFormed) {
-  obs::Tracer tracer(8);
-  tracer.instant(SimTime(1500), "na\"me", "cat");  // escaping exercised
-  tracer.complete(SimTime(0), SimTime(2'500'000), "span", "c2");
-  std::string json = tracer.to_chrome_json();
-  expect_balanced_json(json);
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  // Sim nanoseconds render as microseconds with three decimals.
-  EXPECT_NE(json.find("\"ts\":1.500"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":2500.000"), std::string::npos);
-  EXPECT_NE(json.find("na\\\"me"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\":0"), std::string::npos);
-}
-
-TEST(Tracer, DisabledTracerRecordsNothing) {
-  obs::Tracer tracer(8);
-  tracer.set_enabled(false);
-  tracer.instant(SimTime(1), "x", "y");
-  {
-    obs::ScopedSpan span(&tracer, "s", "c");
-  }
-  obs::ScopedSpan null_span(nullptr, "s", "c");  // must not crash
-  EXPECT_EQ(tracer.size(), 0u);
-}
-
-TEST(Tracer, ScopedSpanUsesTheClock) {
-  obs::Tracer tracer(8);
-  SimTime fake(1000);
-  tracer.set_clock([&fake] { return fake; });
-  {
-    obs::ScopedSpan span(&tracer, "phase", "test");
-    fake = SimTime(4000);
-  }
-  ASSERT_EQ(tracer.size(), 1u);
-  auto ev = tracer.events()[0];
-  EXPECT_EQ(ev.phase, 'X');
-  EXPECT_EQ(ev.ts.count(), 1000);
-  EXPECT_EQ(ev.dur.count(), 3000);
-}
-
 // --- netsim::Engine instrumentation -----------------------------------
 
-TEST(EngineObservability, PerEventTraceAndMetricsExport) {
+TEST(EngineObservability, MetricsExport) {
   netsim::Engine engine;
-  obs::Tracer tracer(64);
-  engine.set_tracer(&tracer);
   int fired = 0;
   engine.schedule(Duration::millis(1), [&] { ++fired; });
   engine.schedule(Duration::millis(2), [&] { ++fired; });
   engine.run_until(SimTime(Duration::millis(5).count()));
   EXPECT_EQ(fired, 2);
-  // 2 instants + 1 run_until span.
-  EXPECT_EQ(tracer.size(), 3u);
-  auto events = tracer.events();
-  EXPECT_EQ(events[0].name, "event");
-  EXPECT_EQ(events[2].name, "run_until");
-  EXPECT_EQ(events[2].args_json, "\"events\":2");
-  // The tracer's clock is the engine's clock.
-  EXPECT_EQ(tracer.now(), engine.now());
 
   obs::Registry reg;
   engine.export_metrics(reg);
@@ -520,6 +394,7 @@ core::TestbedConfig observed_config() {
   config.policy.blocked_ips.push_back(core::TestbedAddresses{}.web_blocked);
   config.neighbor_count = 4;
   config.enable_observability = true;
+  config.enable_provenance = true;
   return config;
 }
 
@@ -539,13 +414,13 @@ TEST(ObservedCampaign, SameSeedSnapshotsAreByteIdentical) {
     run_scan(tb);
     json[i] = tb.metrics_json();
     prom[i] = tb.metrics_snapshot().to_prometheus();
-    trace[i] = tb.tracer().to_chrome_json();
+    trace[i] = obs::to_chrome_json(tb.provenance());
   }
   EXPECT_EQ(json[0], json[1]);
   EXPECT_EQ(prom[0], prom[1]);
   EXPECT_EQ(trace[0], trace[1]);
-  expect_balanced_json(json[0]);
-  expect_balanced_json(trace[0]);
+  EXPECT_TRUE(simcheck::Json::parse(json[0]));
+  EXPECT_TRUE(simcheck::Json::parse(trace[0]));
   // The snapshot bridged every layer.
   EXPECT_NE(json[0].find("sm_netsim_events_executed_total"),
             std::string::npos);
@@ -553,7 +428,8 @@ TEST(ObservedCampaign, SameSeedSnapshotsAreByteIdentical) {
   EXPECT_NE(json[0].find("\"instance\":\"mvr\""), std::string::npos);
   EXPECT_NE(json[0].find("\"instance\":\"censor\""), std::string::npos);
   EXPECT_NE(json[0].find("sm_probe_runs_total"), std::string::npos);
-  EXPECT_NE(trace[0].find("probe:scan"), std::string::npos);
+  EXPECT_NE(trace[0].find("\"name\":\"scan\",\"cat\":\"probe\""),
+            std::string::npos);
 }
 
 TEST(ObservedCampaign, SnapshotIsIdempotent) {
@@ -568,6 +444,7 @@ TEST(ObservedCampaign, EnablingObservabilityChangesNoBehaviour) {
   core::TestbedConfig on = observed_config();
   core::TestbedConfig off = observed_config();
   off.enable_observability = false;
+  off.enable_provenance = false;
 
   core::Testbed tb_on(on);
   core::Testbed tb_off(off);
@@ -587,7 +464,7 @@ TEST(ObservedCampaign, EnablingObservabilityChangesNoBehaviour) {
 
   // And the disabled side exported nothing.
   EXPECT_EQ(tb_off.metrics_json(), "{\"metrics\":[]}");
-  EXPECT_EQ(tb_off.tracer().size(), 0u);
+  EXPECT_EQ(tb_off.provenance().total(), 0u);
 }
 
 // --- Surveillance export goldens --------------------------------------
@@ -717,7 +594,8 @@ TEST(ObservedCampaign, JsonlCarriesMetricsBlock) {
   core::Testbed tb(observed_config());
   core::ProbeReport report = run_scan(tb);
   core::RiskReport risk = core::assess_risk(tb, report.technique);
-  std::string jsonl = core::to_jsonl({{report, risk}}, tb.metrics_snapshot());
+  std::string jsonl = core::to_jsonl({{report, risk}}) +
+                      tb.metrics_snapshot().to_json() + "\n";
   // Two lines: the measurement row and the metrics block.
   size_t newlines = 0;
   for (char c : jsonl) newlines += c == '\n';

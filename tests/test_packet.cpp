@@ -2,7 +2,6 @@
 
 #include "packet/checksum.hpp"
 #include "packet/packet.hpp"
-#include "packet/print.hpp"
 
 namespace sm::packet {
 namespace {
@@ -179,26 +178,6 @@ TEST(Reassemble, PreservesHeaderFields) {
   Packet rebuilt = reassemble(
       d->ip, std::span<const uint8_t>(p.data()).subspan(ihl));
   EXPECT_EQ(rebuilt.data(), p.data());
-}
-
-TEST(Print, TcpSummary) {
-  Packet p = make_tcp(kSrc, kDst, 1234, 80, TcpFlags::kSyn, 42, 0);
-  std::string s = p.to_string();
-  EXPECT_NE(s.find("10.0.0.1:1234"), std::string::npos);
-  EXPECT_NE(s.find("192.0.2.80:80"), std::string::npos);
-  EXPECT_NE(s.find("[S]"), std::string::npos);
-}
-
-TEST(Print, FlagStrings) {
-  EXPECT_EQ(flags_string(TcpFlags::kSyn), "[S]");
-  EXPECT_EQ(flags_string(TcpFlags::kSyn | TcpFlags::kAck), "[SA]");
-  EXPECT_EQ(flags_string(TcpFlags::kAck), "[.]");
-  EXPECT_EQ(flags_string(TcpFlags::kRst), "[R]");
-}
-
-TEST(Print, MalformedPacket) {
-  Bytes junk{1, 2, 3};
-  EXPECT_EQ(summarize(junk), "<malformed packet>");
 }
 
 // --- IPv6 builders and normalization (thin units; depth in the fuzz) ---

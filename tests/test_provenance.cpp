@@ -1,5 +1,6 @@
 // The provenance layer: causal event graph, alert attribution, the
-// explain narrative, and the end-to-end byte-determinism contract.
+// explain narrative, the Chrome trace export, and the end-to-end
+// byte-determinism contract.
 //
 // The graph is the observability tentpole behind every verdict: probe
 // attempts cause packets, packets cause per-hop and tap events, stored
@@ -7,15 +8,19 @@
 // references the evidence conclude() used. These tests pin (a) the ring
 // mechanics, (b) chain walking and attribution through real testbed
 // runs, (c) byte-identical export across campaign thread counts and
-// shard modes, and (d) the checked-in golden fixtures for one censored
-// and one clean E2-style scenario.
+// shard modes, (d) the Chrome trace view's spans, tids and instants, and
+// (e) the checked-in golden fixtures for censored and clean E2-style
+// scenarios.
 //
 // Regenerate fixtures after an intentional format change:
 //   UPDATE_GOLDEN=1 ./build/tests/test_provenance
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -27,7 +32,9 @@
 #include "core/probe.hpp"
 #include "core/risk.hpp"
 #include "core/synprobe.hpp"
+#include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
+#include "simcheck/json.hpp"
 
 using namespace sm;
 using common::SimTime;
@@ -65,6 +72,58 @@ core::TestbedConfig prov_config() {
   return cfg;
 }
 
+/// The censored E2 cell behind provenance_censored.json: an overt HTTP
+/// fetch of the keyword-RST'd site, then a 2 s drain.
+void run_censored_overt_http(core::Testbed& tb) {
+  core::OvertHttpProbe probe(tb, {.domain = "blocked.example"});
+  core::run_probe(tb, probe);
+  tb.run_for(common::Duration::seconds(2));
+}
+
+/// Structural checks on the Chrome export of `g`: no raw control byte,
+/// it parses, each probe span has a tid of its own, every attempt span
+/// lies inside the probe span on its tid (tid 0 when its probe-start was
+/// evicted), and every event that is neither a probe-start nor an
+/// attempt is one instant. Returns the number of probe spans.
+size_t expect_chrome_shape(const ProvenanceGraph& g) {
+  const std::string json = obs::to_chrome_json(g);
+  EXPECT_TRUE(std::all_of(json.begin(), json.end(),
+                          [](unsigned char c) { return c >= 0x20; }));
+  auto doc = simcheck::Json::parse(json);
+  if (!doc || !doc->get("traceEvents")) {
+    ADD_FAILURE() << "Chrome export does not parse: " << json;
+    return 0;
+  }
+  auto ns = [](const simcheck::Json& ev, const char* key) {
+    return std::llround(ev.get(key)->as_double() * 1000);
+  };
+  // Events come in id order, so a probe's span precedes its attempts.
+  std::map<int64_t, std::pair<int64_t, int64_t>> probes;  // tid -> span
+  size_t instants = 0;
+  for (const simcheck::Json& ev : doc->get("traceEvents")->items()) {
+    const int64_t tid = ev.get("tid")->as_int();
+    if (ev.get("ph")->as_string() == "i") {
+      ++instants;
+      continue;
+    }
+    const int64_t begin = ns(ev, "ts"), end = begin + ns(ev, "dur");
+    if (ev.get("cat")->as_string() == "probe") {
+      EXPECT_TRUE(probes.emplace(tid, std::pair{begin, end}).second)
+          << "two probe spans on tid " << tid;
+    } else if (auto probe = probes.find(tid); probe != probes.end()) {
+      EXPECT_GE(begin, probe->second.first);
+      EXPECT_LE(end, probe->second.second);
+    } else {
+      EXPECT_EQ(tid, 0) << "attempt span on tid " << tid << " has no probe";
+    }
+  }
+  size_t spans = 0;
+  for (const obs::ProvEvent& ev : g.events())
+    spans += ev.kind == ProvKind::ProbeStart || ev.kind == ProvKind::Attempt;
+  EXPECT_EQ(instants, g.size() - spans);
+  return probes.size();
+}
+
 }  // namespace
 
 // --- Graph mechanics ---------------------------------------------------
@@ -87,14 +146,6 @@ TEST(ProvenanceGraph, RecordAssignsDenseIdsAndKeepsLinks) {
   EXPECT_EQ(g.chain(pkt), (std::vector<uint64_t>{pkt, attempt, start}));
   EXPECT_EQ(g.root_of(pkt), start);
   EXPECT_EQ(g.root_of(start), start);
-}
-
-TEST(ProvenanceGraph, DisabledGraphRecordsNothing) {
-  ProvenanceGraph g;
-  g.set_enabled(false);
-  EXPECT_EQ(g.record(ProvKind::ProbeStart, SimTime(0), 0, 0, "x"), 0u);
-  EXPECT_EQ(g.size(), 0u);
-  EXPECT_EQ(g.total(), 0u);
 }
 
 TEST(ProvenanceGraph, RingDropsOldestAndCountsExactly) {
@@ -190,6 +241,96 @@ TEST(ProvenanceGraph, SummarizeWire) {
             "tcp 10.0.0.1:1234>10.0.0.2:80");
   uint8_t garbage[4] = {0xff, 0xff, 0xff, 0xff};
   EXPECT_EQ(obs::summarize_wire(garbage, sizeof(garbage)), "raw");
+}
+
+// --- Chrome trace export ----------------------------------------------
+
+TEST(ChromeExport, HandBuiltGraphRendersSpansAndInstants) {
+  ProvenanceGraph g;
+  uint64_t s = g.record(ProvKind::ProbeStart, SimTime(1000), 0, 0,
+                        "syn-reach", "10.0.0.2:80");
+  uint64_t a1 = g.record(ProvKind::Attempt, SimTime(2000), s, 0, "attempt",
+                         "1");
+  uint64_t p = g.record(ProvKind::PacketSent, SimTime(2500), a1, 0,
+                        "tcp 10.0.0.1:5>10.0.0.2:80");
+  uint64_t a2 = g.record(ProvKind::Attempt, SimTime(5000), s, 0, "attempt",
+                         "2");
+  uint64_t e = g.record(ProvKind::Evidence, SimTime(6000), a2, p, "rst");
+  g.record_verdict(SimTime(7250), s, "blocked-rst", "likely", {e});
+  g.record(ProvKind::Forward, SimTime(8000), 0, 0, "background");
+  EXPECT_EQ(
+      obs::to_chrome_json(g),
+      "{\"traceEvents\":["
+      "{\"name\":\"syn-reach\",\"cat\":\"probe\",\"ph\":\"X\",\"ts\":1.000,"
+      "\"dur\":6.250,\"pid\":1,\"tid\":1,\"args\":{\"technique\":\"syn-reach\","
+      "\"target\":\"10.0.0.2:80\",\"verdict\":\"blocked-rst\","
+      "\"confidence\":\"likely\"}},"
+      "{\"name\":\"attempt 1\",\"cat\":\"attempt\",\"ph\":\"X\",\"ts\":2.000,"
+      "\"dur\":3.000,\"pid\":1,\"tid\":1,\"args\":{\"id\":2}},"
+      "{\"name\":\"packet\",\"cat\":\"provenance\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":2.500,\"pid\":1,\"tid\":1,\"args\":{\"id\":3,\"cause\":2,"
+      "\"packet\":0,\"what\":\"tcp 10.0.0.1:5>10.0.0.2:80\",\"detail\":\"\"}},"
+      "{\"name\":\"attempt 2\",\"cat\":\"attempt\",\"ph\":\"X\",\"ts\":5.000,"
+      "\"dur\":2.250,\"pid\":1,\"tid\":1,\"args\":{\"id\":4}},"
+      "{\"name\":\"evidence\",\"cat\":\"provenance\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":6.000,\"pid\":1,\"tid\":1,\"args\":{\"id\":5,\"cause\":4,"
+      "\"packet\":3,\"what\":\"rst\",\"detail\":\"\"}},"
+      "{\"name\":\"verdict\",\"cat\":\"provenance\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":7.250,\"pid\":1,\"tid\":1,\"args\":{\"id\":6,\"cause\":1,"
+      "\"packet\":0,\"what\":\"blocked-rst\",\"detail\":\"likely\"}},"
+      "{\"name\":\"forward\",\"cat\":\"provenance\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":8.000,\"pid\":1,\"tid\":0,\"args\":{\"id\":7,\"cause\":0,"
+      "\"packet\":0,\"what\":\"background\",\"detail\":\"\"}}"
+      "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"sim\","
+      "\"total\":7,\"dropped\":0}}");
+  EXPECT_EQ(expect_chrome_shape(g), 1u);
+}
+
+TEST(ChromeExport, EvictedProbeStartMovesItsEventsToTidZero) {
+  ProvenanceGraph g(3);
+  uint64_t s = g.record(ProvKind::ProbeStart, SimTime(0), 0, 0, "syn");
+  uint64_t a = g.record(ProvKind::Attempt, SimTime(1000), s, 0, "attempt",
+                        "1");
+  uint64_t p = g.record(ProvKind::PacketSent, SimTime(2000), a, 0, "tcp");
+  g.record(ProvKind::Forward, SimTime(4000), p, p, "hop");
+  // The probe-start fell off the ring: the orphaned attempt still spans
+  // (to the newest event, with no verdict to end it), on tid 0.
+  const std::string json = obs::to_chrome_json(g);
+  EXPECT_NE(json.find("\"name\":\"attempt 1\",\"cat\":\"attempt\",\"ph\":\"X\","
+                      "\"ts\":1.000,\"dur\":3.000,\"pid\":1,\"tid\":0"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"tid\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"total\":4,\"dropped\":1"), std::string::npos) << json;
+  EXPECT_EQ(expect_chrome_shape(g), 0u);
+}
+
+TEST(ExportEscaping, ControlCharactersRoundTrip) {
+  // RFC 8259 forbids raw control bytes inside strings; every JSON export
+  // escapes them through common::json_escape and parses back exactly.
+  const std::string nasty = "\t\r\x01";
+  obs::Registry reg;
+  reg.counter("sm_test_total", {{"label", nasty}})->inc();
+  ProvenanceGraph g;
+  g.record(ProvKind::Evidence, SimTime(0), 0, 0, "what", nasty);
+  for (const std::string& json :
+       {reg.to_json(), g.to_json(), obs::to_chrome_json(g)}) {
+    for (char c : json) {
+      ASSERT_GE(static_cast<unsigned char>(c), 0x20) << json;
+    }
+    ASSERT_TRUE(simcheck::Json::parse(json)) << json;
+  }
+  auto metrics = simcheck::Json::parse(reg.to_json());
+  EXPECT_EQ(metrics->get("metrics")->items()[0].get("labels")->get("label")
+                ->as_string(),
+            nasty);
+  auto prov = simcheck::Json::parse(g.to_json());
+  EXPECT_EQ(prov->get("events")->items()[0].get("detail")->as_string(),
+            nasty);
+  auto chrome = simcheck::Json::parse(obs::to_chrome_json(g));
+  EXPECT_EQ(chrome->get("traceEvents")->items()[0].get("args")->get("detail")
+                ->as_string(),
+            nasty);
 }
 
 // --- Through the testbed ----------------------------------------------
@@ -328,14 +469,34 @@ TEST(ProvenanceTestbed, ExplainTextRendersVerdictAndAlerts) {
 TEST(ProvenanceTestbed, SameSeedExportsAreByteIdentical) {
   auto run = [] {
     core::Testbed tb(prov_config());
-    core::OvertHttpProbe probe(tb, {.domain = "blocked.example"});
-    core::run_probe(tb, probe);
-    tb.run_for(common::Duration::seconds(2));
+    run_censored_overt_http(tb);
     return tb.provenance_json();
   };
   std::string first = run();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, run());
+}
+
+TEST(ProvenanceTestbed, ChromeExportIsDeterministicAndNested) {
+  // Two probes on one testbed: each gets its own tid and span, and the
+  // export of a graph is the same bytes every time and every same-seed run.
+  auto run = [] {
+    auto tb = std::make_unique<core::Testbed>(prov_config());
+    {
+      core::SynReachabilityProbe probe(
+          *tb, {.target = tb->addr().web_open, .port = 80});
+      core::run_probe(*tb, probe);
+    }
+    run_censored_overt_http(*tb);
+    return tb;
+  };
+  auto tb = run();
+  const std::string first = obs::to_chrome_json(tb->provenance());
+  EXPECT_EQ(obs::to_chrome_json(tb->provenance()), first);
+  EXPECT_EQ(obs::to_chrome_json(run()->provenance()), first);
+  EXPECT_EQ(expect_chrome_shape(tb->provenance()), 2u);
+  EXPECT_NE(first.find("\"verdict\":\"reachable\""), std::string::npos);
+  EXPECT_NE(first.find("\"verdict\":\"blocked-rst\""), std::string::npos);
 }
 
 TEST(ProvenanceTestbed, MetricsGaugesExportedOnlyWhenEnabled) {
@@ -499,10 +660,15 @@ TEST(ProvenanceCampaign, TelemetryTracksWorkersAndPhases) {
 
 TEST(ProvenanceGolden, CensoredOvertHttp) {
   core::Testbed tb(prov_config());
-  core::OvertHttpProbe probe(tb, {.domain = "blocked.example"});
-  core::run_probe(tb, probe);
-  tb.run_for(common::Duration::seconds(2));
+  run_censored_overt_http(tb);
   check_golden("provenance_censored.json", tb.provenance_json() + "\n");
+}
+
+TEST(ProvenanceGolden, CensoredOvertHttpChrome) {
+  core::Testbed tb(prov_config());
+  run_censored_overt_http(tb);
+  check_golden("provenance_censored.chrome.json",
+               obs::to_chrome_json(tb.provenance()) + "\n");
 }
 
 TEST(ProvenanceGolden, CleanOvertHttp) {

@@ -4,6 +4,7 @@
 //   sm-explain --trace out.jsonl --trial 7
 //   sm-explain --trace out.jsonl --list
 //   sm-explain --trace provenance.json
+//   sm-explain --trace out.jsonl --trial 7 --chrome trace.json
 //
 // The input is either a campaign JSONL file (one object per trial, the
 // provenance graph under "provenance" for trials that enabled it) or a
@@ -11,7 +12,8 @@
 // Testbed::provenance_json. The graph is rebuilt event-by-event and
 // printed as the per-verdict narrative plus the attribution chain of
 // every stored MVR alert — the "was this alert *our* packet?" question
-// the paper's safety argument turns on.
+// the paper's safety argument turns on. --chrome writes the graph as a
+// Chrome trace_event timeline (obs::to_chrome_json) instead.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,13 +33,16 @@ using sm::simcheck::Json;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --trace <file> [--trial N] [--list]\n"
+               "usage: %s --trace <file> [--trial N] [--list] "
+               "[--chrome OUT]\n"
                "\n"
                "  <file> is a campaign/simcheck JSONL output (rows with a\n"
                "  \"provenance\" object) or a bare provenance JSON export.\n"
-               "  --trial N  explain only trial N (default: every trial\n"
-               "             that carries a provenance graph)\n"
-               "  --list     list trials and their provenance event counts\n",
+               "  --trial N     explain only trial N (default: every trial\n"
+               "                that carries a provenance graph)\n"
+               "  --list        list trials and their provenance event counts\n"
+               "  --chrome OUT  write the graph as Chrome trace_event JSON\n"
+               "                to OUT (JSONL input needs --trial)\n",
                argv0);
   return 2;
 }
@@ -79,6 +84,17 @@ std::optional<ProvenanceGraph> graph_from_json(const Json& doc) {
   return g;
 }
 
+/// Writes the Chrome trace_event export of `g` to `path`.
+int write_chrome(const ProvenanceGraph& g, const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << sm::obs::to_chrome_json(g);
+  if (!out.flush()) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return 1;
+  }
+  return 0;
+}
+
 struct TrialRow {
   int64_t trial = -1;
   std::string name;
@@ -88,7 +104,7 @@ struct TrialRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
+  std::string path, chrome;
   int64_t want_trial = -1;
   bool list = false;
   for (int i = 1; i < argc; ++i) {
@@ -98,6 +114,8 @@ int main(int argc, char** argv) {
       want_trial = std::atoll(argv[++i]);
     } else if (!std::strcmp(argv[i], "--list")) {
       list = true;
+    } else if (!std::strcmp(argv[i], "--chrome") && i + 1 < argc) {
+      chrome = argv[++i];
     } else {
       return usage(argv[0]);
     }
@@ -122,6 +140,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(g->dropped()));
         return 0;
       }
+      if (!chrome.empty()) return write_chrome(*g, chrome);
       std::fputs(sm::obs::explain_text(*g).c_str(), stdout);
       return 0;
     }
@@ -156,6 +175,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  if (!chrome.empty() && want_trial < 0) {
+    std::fprintf(stderr, "error: --chrome on JSONL input needs --trial N\n");
+    return 2;
+  }
   if (list) {
     for (const TrialRow& row : rows) {
       std::string events = "-";
@@ -189,6 +212,7 @@ int main(int argc, char** argv) {
                    static_cast<long long>(row.trial));
       return 1;
     }
+    if (!chrome.empty()) return write_chrome(*g, chrome);
     matched = true;
     std::printf("=== trial %lld: %s ===\n",
                 static_cast<long long>(row.trial), row.name.c_str());
