@@ -40,15 +40,15 @@ bench::ProbeFactory family_factory(const std::string& technique, bool v6) {
   if (technique == "ping") {
     return [v6](core::Testbed& tb) -> std::unique_ptr<core::Probe> {
       return std::make_unique<core::PingProbe>(
-          tb, core::PingOptions{.target = tb.addr().web_blocked,
-                                .ipv6 = v6});
+          tb, core::PingOptions{
+                  .target = common::map_family(tb.addr().web_blocked, v6)});
     };
   }
   return [v6](core::Testbed& tb) -> std::unique_ptr<core::Probe> {
     return std::make_unique<core::SynReachabilityProbe>(
-        tb, core::SynReachabilityOptions{.target = tb.addr().web_blocked,
-                                         .port = 80,
-                                         .ipv6 = v6});
+        tb, core::SynReachabilityOptions{
+                .target = common::map_family(tb.addr().web_blocked, v6),
+                .port = 80});
   };
 }
 

@@ -28,7 +28,11 @@
 #      mid-checkpoint-write faults) and requires the resumed output to
 #      be byte-identical to an uninterrupted run;
 #   7. tier-1 verify: the plain default build + ctest, exactly the
-#      commands ROADMAP.md promises stay green.
+#      commands ROADMAP.md promises stay green;
+#   8. bench: the repository benchmark's self-test (perfbench/selftest.py)
+#      — every workload at tiny size, untraced and traced, correct with
+#      no failed operation, every declared metric present, and the output
+#      digests equal across traced/untraced passes and repeated runs.
 #
 #   ./ci.sh            # all stages
 #   ./ci.sh sanitize   # stage 1 only
@@ -38,6 +42,7 @@
 #   ./ci.sh perf       # stage 5 only
 #   ./ci.sh resume     # stage 6 only
 #   ./ci.sh tier1      # stage 7 only
+#   ./ci.sh bench      # stage 8 only
 #   ./ci.sh obs        # observability-labeled tests, then sm-explain's
 #                      # narrative, --list and --chrome modes over the
 #                      # censored provenance goldens (fast focus loop for
@@ -211,6 +216,11 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tier1" ]; then
   cmake --build "$ROOT/build" -j
   ctest --test-dir "$ROOT/build" --output-on-failure -j "$(nproc)" \
         --schedule-random
+fi
+
+if [ "$STAGE" = "all" ] || [ "$STAGE" = "bench" ]; then
+  echo "=== stage 8: benchmark self-test ==="
+  python3 "$ROOT/perfbench/selftest.py"
 fi
 
 if [ "$STAGE" = "obs" ]; then

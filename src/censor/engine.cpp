@@ -61,15 +61,8 @@ void CensorTap::inject_rsts(const TapContext& ctx, netsim::Router& router) {
 
   // Forged segments are built in the flow's own family.
   auto forge = [&](uint32_t seq, uint32_t ack, bool reverse) {
-    if (d.is_v6()) {
-      common::Ipv6Address s = reverse ? d.ip6->dst : d.ip6->src;
-      common::Ipv6Address t = reverse ? d.ip6->src : d.ip6->dst;
-      uint16_t sp = reverse ? d.tcp->dst_port : d.tcp->src_port;
-      uint16_t tp = reverse ? d.tcp->src_port : d.tcp->dst_port;
-      return packet::make_tcp6(s, t, sp, tp, TcpFlags::kRst, seq, ack);
-    }
-    common::Ipv4Address s = reverse ? d.ip.dst : d.ip.src;
-    common::Ipv4Address t = reverse ? d.ip.src : d.ip.dst;
+    common::IpAddress s = reverse ? d.dst_addr() : d.src_addr();
+    common::IpAddress t = reverse ? d.src_addr() : d.dst_addr();
     uint16_t sp = reverse ? d.tcp->dst_port : d.tcp->src_port;
     uint16_t tp = reverse ? d.tcp->src_port : d.tcp->dst_port;
     return packet::make_tcp(s, t, sp, tp, TcpFlags::kRst, seq, ack);
@@ -115,14 +108,8 @@ bool CensorTap::maybe_forge_dns(const TapContext& ctx,
                                                proto::dns::Rcode::NoError);
   resp.answers.push_back(
       proto::dns::ResourceRecord::a(q.name, *forged, 300));
-  if (d.is_v6()) {
-    router.inject(packet::make_udp6(d.ip6->dst, d.ip6->src, 53,
-                                    d.udp->src_port,
-                                    proto::dns::encode(resp)));
-  } else {
-    router.inject(packet::make_udp(d.ip.dst, d.ip.src, 53, d.udp->src_port,
-                                   proto::dns::encode(resp)));
-  }
+  router.inject(packet::make_udp(d.dst_addr(), d.src_addr(), 53,
+                                 d.udp->src_port, proto::dns::encode(resp)));
   ++stats_.dns_responses_forged;
   return true;
 }
@@ -183,15 +170,10 @@ bool CensorTap::maybe_inject_blockpage(const TapContext& ctx,
   auto forge = [&](bool from_server, uint8_t flags, uint32_t seq,
                    uint32_t ack, std::span<const uint8_t> payload =
                                      std::span<const uint8_t>{}) {
+    common::IpAddress s = from_server ? d.dst_addr() : d.src_addr();
+    common::IpAddress t = from_server ? d.src_addr() : d.dst_addr();
     uint16_t sp = from_server ? d.tcp->dst_port : d.tcp->src_port;
     uint16_t dp = from_server ? d.tcp->src_port : d.tcp->dst_port;
-    if (d.is_v6()) {
-      common::Ipv6Address s = from_server ? d.ip6->dst : d.ip6->src;
-      common::Ipv6Address t = from_server ? d.ip6->src : d.ip6->dst;
-      return packet::make_tcp6(s, t, sp, dp, flags, seq, ack, payload);
-    }
-    common::Ipv4Address s = from_server ? d.ip.dst : d.ip.src;
-    common::Ipv4Address t = from_server ? d.ip.src : d.ip.dst;
     return packet::make_tcp(s, t, sp, dp, flags, seq, ack, payload);
   };
   router.inject(forge(true, packet::TcpFlags::kAck | packet::TcpFlags::kPsh,

@@ -295,6 +295,11 @@ constexpr Cidr6 map_v6(const Cidr& v4) {
   return Cidr6(map_v6(v4.network()),
                static_cast<uint8_t>(96 + v4.prefix_len()));
 }
+/// The same host in a chosen family: `v4` itself, or its map_v6
+/// embedding when `v6`.
+constexpr IpAddress map_family(Ipv4Address v4, bool v6) {
+  return v6 ? IpAddress(map_v6(v4)) : IpAddress(v4);
+}
 /// Inverse of map_v6: the embedded v4 address, or nullopt for v6
 /// addresses outside the fd00::5eed:0:0/96 embedding.
 constexpr std::optional<Ipv4Address> unmap_v6(Ipv6Address v6) {

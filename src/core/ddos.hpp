@@ -34,31 +34,25 @@ class DdosProbe : public Probe {
  public:
   DdosProbe(Testbed& tb, DdosOptions options = {});
 
-  void start() override;
-  bool done() const override { return done_; }
-  ProbeReport report() const override { return report_; }
-
   /// Per-sample outcomes (index = request number).
   const std::vector<Verdict>& sample_verdicts() const { return samples_; }
 
  private:
-  void resolve();
-  void launch(common::Ipv4Address address);
+  void launch() override;
+  void flood(common::Ipv4Address address);
   void fetch_sample(common::Ipv4Address address, size_t index);
   void on_sample(size_t index, Verdict v);
   void finalize();
 
-  Testbed& tb_;
   DdosOptions options_;
+  AttemptLadder dns_ladder_;
   std::set<uint32_t> forged_ips_;
   std::unique_ptr<proto::http::Client> http_;
   std::vector<Verdict> samples_;
-  std::vector<size_t> sample_attempts_;  // fetches spent per sample
-  size_t dns_attempt_ = 0;
+  /// One ladder per request; it records no Attempt event, because the
+  /// repeated requests are samples of one attempt.
+  std::vector<AttemptLadder> sample_ladders_;
   size_t completed_ = 0;
-  bool done_ = false;
-  ProbeReport report_;
-  ProbeProvenance prov_;
 };
 
 }  // namespace sm::core

@@ -11,67 +11,44 @@ namespace sm::core {
 
 StatelessDnsMimicryProbe::StatelessDnsMimicryProbe(
     Testbed& tb, StatelessMimicryOptions options)
-    : tb_(tb), options_(std::move(options)), forged_ips_(forged_hints(tb)) {
-  report_.technique = "mimicry-dns";
-  report_.target = options_.domain;
-  report_.samples = 1;
+    : Probe(tb, "mimicry-dns", options.domain, 1),
+      options_(std::move(options)),
+      forged_ips_(forged_hints(tb)) {
   cover_ = std::make_unique<spoof::StatelessDnsCover>(*tb_.client,
                                                       tb_.addr().dns);
 }
 
-void StatelessDnsMimicryProbe::maybe_finish() {
-  if (verdict_ready_ && cover_sent_ >= cover_target_) done_ = true;
-}
-
-void StatelessDnsMimicryProbe::start() {
-  prov_.begin(tb_.prov_sink(), tb_.net.engine().now(), report_);
-  prov_.attempt(tb_.net.engine().now(), 1);
+void StatelessDnsMimicryProbe::launch() {
+  begin_attempt();
   // Spread the spoofed cover around the real query so ordering does not
   // give the measurer away.
   auto neighbors = tb_.neighbor_addresses();
   if (neighbors.size() > options_.cover_count)
     neighbors.resize(options_.cover_count);
-  cover_target_ = neighbors.size();
-  auto& engine = tb_.net.engine();
+  expect_cover(neighbors.size());
   for (size_t i = 0; i < neighbors.size(); ++i) {
     common::Duration at =
         options_.spread * static_cast<int64_t>(i) /
         static_cast<int64_t>(std::max<size_t>(neighbors.size(), 1));
-    engine.schedule(at, [this, alive = guard(), addr = neighbors[i]]() {
-      if (alive.expired()) return;
+    after(at, [this, addr = neighbors[i]]() {
       obs::ScopedCause cause(prov_.graph(), prov_.attempt_id());
       cover_sent_ += cover_->emit({addr}, proto::dns::Name(options_.domain),
                                   options_.type);
       ++report_.packets_sent;
-      maybe_finish();
+      cover_emitted();
     });
   }
   // The real measurement sits in the middle of the spread.
-  engine.schedule(options_.spread / 2, [this, alive = guard()]() {
-    if (alive.expired()) return;
+  after(options_.spread / 2, [this]() {
     ++report_.packets_sent;
     obs::ScopedCause cause(prov_.graph(), prov_.attempt_id());
     tb_.resolver->query(
         proto::dns::Name(options_.domain), options_.type,
-        [this, alive](const proto::dns::QueryResult& result) {
-          if (alive.expired()) return;
-          common::Ipv4Address addr;
-          if (auto blocked = classify_dns(result, forged_ips_, &addr)) {
-            report_.verdict = blocked->first;
-            report_.detail = blocked->second;
-            report_.samples_blocked = is_blocked(blocked->first) ? 1 : 0;
-          } else {
-            report_.verdict = Verdict::Reachable;
-            report_.detail = "resolved to " + addr.to_string();
-          }
-          report_.confidence = confidence_from(report_.verdict);
-          prov_.evidence(tb_.net.engine().now(),
-                         result.answered() ? "dns-answer" : "dns-timeout",
-                         report_.detail);
-          prov_.verdict(tb_.net.engine().now(), report_);
-          verdict_ready_ = true;
-          maybe_finish();
-        });
+        guarded([this](const proto::dns::QueryResult& result) {
+          auto [verdict, detail] = dns_verdict(result, forged_ips_);
+          finish(verdict, std::move(detail), confidence_from(verdict),
+                 result.answered() ? "dns-answer" : "dns-timeout");
+        }));
   });
 }
 
@@ -79,10 +56,8 @@ void StatelessDnsMimicryProbe::start() {
 
 StatefulMimicryProbe::StatefulMimicryProbe(Testbed& tb,
                                            StatefulMimicryOptions options)
-    : tb_(tb), options_(std::move(options)) {
-  report_.technique = "mimicry-stateful";
-  report_.target = "measure.example" + options_.path;
-  report_.samples = 1;
+    : Probe(tb, "mimicry-stateful", "measure.example" + options.path, 1),
+      options_(std::move(options)) {
   http_ = std::make_unique<proto::http::Client>(*tb_.client_stack);
   mimic_ = std::make_unique<spoof::StatefulMimicryClient>(
       *tb_.client, tb_.addr().measurement, 80,
@@ -94,27 +69,13 @@ size_t StatefulMimicryProbe::cover_flows_started() const {
   return mimic_->flows_started();
 }
 
-void StatefulMimicryProbe::finish(Verdict v, std::string detail) {
-  if (verdict_ready_) return;
-  report_.verdict = v;
-  report_.detail = std::move(detail);
-  report_.samples_blocked = is_blocked(v) ? 1 : 0;
-  report_.confidence = confidence_from(v);
-  prov_.evidence(tb_.net.engine().now(),
-                 is_blocked(v) ? "blocked" : "response", report_.detail);
-  prov_.verdict(tb_.net.engine().now(), report_);
-  verdict_ready_ = true;
-  maybe_finish();
+void StatefulMimicryProbe::conclude_fetch(Verdict v, std::string detail) {
+  finish(v, std::move(detail), confidence_from(v),
+         is_blocked(v) ? "blocked" : "response");
 }
 
-void StatefulMimicryProbe::maybe_finish() {
-  if (verdict_ready_ && mimic_->flows_started() >= cover_target_)
-    done_ = true;
-}
-
-void StatefulMimicryProbe::start() {
-  prov_.begin(tb_.prov_sink(), tb_.net.engine().now(), report_);
-  prov_.attempt(tb_.net.engine().now(), 1);
+void StatefulMimicryProbe::launch() {
+  begin_attempt();
   auto ttl = spoof::plan_reply_ttl(options_.hops_to_tap,
                                    options_.hops_to_client);
   std::string request = "GET " + options_.path +
@@ -126,54 +87,51 @@ void StatefulMimicryProbe::start() {
   auto neighbors = tb_.neighbor_addresses();
   if (neighbors.size() > options_.cover_flows)
     neighbors.resize(options_.cover_flows);
-  cover_target_ = neighbors.size();
-  auto& engine = tb_.net.engine();
+  expect_cover(neighbors.size());
   for (size_t i = 0; i < neighbors.size(); ++i) {
     common::Ipv4Address spoofed = neighbors[i];
     if (ttl) tb_.mimicry_server->register_cover_client(spoofed, *ttl);
     common::Duration at =
         options_.spread * static_cast<int64_t>(i) /
         static_cast<int64_t>(std::max<size_t>(neighbors.size(), 1));
-    engine.schedule(at, [this, alive = guard(), spoofed, request]() {
-      if (alive.expired()) return;
+    after(at, [this, spoofed, request]() {
       obs::ScopedCause cause(prov_.graph(), prov_.attempt_id());
       mimic_->run_flow(spoofed, request);
       report_.packets_sent += 4;  // SYN, ACK, data, FIN
-      maybe_finish();
+      cover_emitted();
     });
   }
 
   // The real measurement: an ordinary fetch of the keyword URL from the
   // server we control. A keyword censor RSTs it; otherwise it completes.
-  engine.schedule(options_.spread / 2, [this, alive = guard()]() {
-    if (alive.expired()) return;
+  after(options_.spread / 2, [this]() {
     proto::http::Request req =
         proto::http::Request::get("measure.example", options_.path);
     ++report_.packets_sent;
     obs::ScopedCause cause(prov_.graph(), prov_.attempt_id());
-    http_->fetch(tb_.addr().measurement, 80, req,
-                 [this, alive](const proto::http::FetchResult& result) {
-                   if (alive.expired()) return;
-                   using proto::http::FetchOutcome;
-                   switch (result.outcome) {
-                     case FetchOutcome::Ok:
-                       finish(Verdict::Reachable,
-                              "fetched through; keyword not censored");
-                       break;
-                     case FetchOutcome::ConnectReset:
-                     case FetchOutcome::ResetMidStream:
-                       finish(Verdict::BlockedRst, "keyword triggered RST");
-                       break;
-                     case FetchOutcome::ConnectTimeout:
-                     case FetchOutcome::Timeout:
-                       finish(Verdict::BlockedTimeout,
-                              std::string(to_string(result.outcome)));
-                       break;
-                     default:
-                       finish(Verdict::Inconclusive, "protocol error");
-                       break;
-                   }
-                 });
+    http_->fetch(
+        tb_.addr().measurement, 80, req,
+        guarded([this](const proto::http::FetchResult& result) {
+          using proto::http::FetchOutcome;
+          switch (result.outcome) {
+            case FetchOutcome::Ok:
+              conclude_fetch(Verdict::Reachable,
+                             "fetched through; keyword not censored");
+              break;
+            case FetchOutcome::ConnectReset:
+            case FetchOutcome::ResetMidStream:
+              conclude_fetch(Verdict::BlockedRst, "keyword triggered RST");
+              break;
+            case FetchOutcome::ConnectTimeout:
+            case FetchOutcome::Timeout:
+              conclude_fetch(Verdict::BlockedTimeout,
+                             std::string(to_string(result.outcome)));
+              break;
+            default:
+              conclude_fetch(Verdict::Inconclusive, "protocol error");
+              break;
+          }
+        }));
   });
 }
 

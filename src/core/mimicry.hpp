@@ -32,25 +32,15 @@ class StatelessDnsMimicryProbe : public Probe {
  public:
   StatelessDnsMimicryProbe(Testbed& tb, StatelessMimicryOptions options = {});
 
-  void start() override;
-  bool done() const override { return done_; }
-  ProbeReport report() const override { return report_; }
-
   size_t cover_sent() const { return cover_sent_; }
 
  private:
-  void maybe_finish();
+  void launch() override;
 
-  Testbed& tb_;
   StatelessMimicryOptions options_;
   std::set<uint32_t> forged_ips_;
   std::unique_ptr<spoof::StatelessDnsCover> cover_;
   size_t cover_sent_ = 0;
-  size_t cover_target_ = 0;
-  bool verdict_ready_ = false;
-  bool done_ = false;
-  ProbeReport report_;
-  ProbeProvenance prov_;
 };
 
 struct StatefulMimicryOptions {
@@ -68,25 +58,15 @@ class StatefulMimicryProbe : public Probe {
  public:
   StatefulMimicryProbe(Testbed& tb, StatefulMimicryOptions options = {});
 
-  void start() override;
-  bool done() const override { return done_; }
-  ProbeReport report() const override { return report_; }
-
   size_t cover_flows_started() const;
 
  private:
-  void finish(Verdict v, std::string detail);
-  void maybe_finish();
+  void launch() override;
+  void conclude_fetch(Verdict v, std::string detail);
 
-  Testbed& tb_;
   StatefulMimicryOptions options_;
   std::unique_ptr<proto::http::Client> http_;
   std::unique_ptr<spoof::StatefulMimicryClient> mimic_;
-  size_t cover_target_ = 0;
-  bool verdict_ready_ = false;
-  bool done_ = false;
-  ProbeReport report_;
-  ProbeProvenance prov_;
 };
 
 }  // namespace sm::core

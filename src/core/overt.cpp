@@ -4,33 +4,6 @@
 
 namespace sm::core {
 
-ProbeReport run_probe(Testbed& tb, Probe& probe, common::Duration timeout) {
-  probe.start();
-  tb.run_until([&probe]() { return probe.done(); }, timeout);
-  ProbeReport report = probe.report();
-  obs::Registry& reg = tb.metrics();
-  if (reg.enabled()) {
-    obs::Labels labels = {{"technique", report.technique}};
-    reg.counter("sm_probe_runs_total", labels, "measurements executed")
-        ->inc();
-    reg.counter("sm_probe_runs_by_verdict_total",
-                {{"technique", report.technique},
-                 {"verdict", std::string(to_string(report.verdict))}},
-                "measurements by final verdict")
-        ->inc();
-    reg.counter("sm_probe_packets_sent_total", labels,
-                "probe packets transmitted")
-        ->inc(report.packets_sent);
-    reg.counter("sm_probe_samples_total", labels,
-                "sub-measurements taken (ports, requests, ...)")
-        ->inc(report.samples);
-    reg.counter("sm_probe_samples_blocked_total", labels,
-                "sub-measurements that observed blocking")
-        ->inc(report.samples_blocked);
-  }
-  return report;
-}
-
 std::set<uint32_t> forged_hints(const Testbed& tb) {
   std::set<uint32_t> out;
   for (const auto& [domain, addr] : tb.config().policy.dns_forgeries)
@@ -60,6 +33,15 @@ std::optional<std::pair<Verdict, std::string>> classify_dns(
   }
   if (out_address) *out_address = *addr;
   return std::nullopt;
+}
+
+std::pair<Verdict, std::string> dns_verdict(
+    const proto::dns::QueryResult& result,
+    const std::set<uint32_t>& forged_ips) {
+  common::Ipv4Address addr;
+  if (auto blocked = classify_dns(result, forged_ips, &addr))
+    return *blocked;
+  return {Verdict::Reachable, "resolved to " + addr.to_string()};
 }
 
 bool looks_like_blockpage(const proto::http::Response& response) {
@@ -100,76 +82,50 @@ std::pair<Verdict, std::string> classify_fetch(
 // --- OvertDnsProbe ---
 
 OvertDnsProbe::OvertDnsProbe(Testbed& tb, OvertDnsOptions options)
-    : tb_(tb), options_(std::move(options)), forged_ips_(forged_hints(tb)) {
-  report_.technique = "overt-dns";
-  report_.target = options_.domain;
-  report_.samples = 1;
-}
+    : Probe(tb, "overt-dns", options.domain, 1),
+      options_(std::move(options)),
+      forged_ips_(forged_hints(tb)) {}
 
-void OvertDnsProbe::start() {
-  prov_.begin(tb_.prov_sink(), tb_.net.engine().now(), report_);
-  prov_.attempt(tb_.net.engine().now(), 1);
+void OvertDnsProbe::launch() {
+  begin_attempt();
   obs::ScopedCause cause(prov_.graph(), prov_.attempt_id());
   tb_.resolver->query(
       proto::dns::Name(options_.domain), options_.type,
-      [this, alive = guard()](const proto::dns::QueryResult& result) {
-        if (alive.expired()) return;
+      guarded([this](const proto::dns::QueryResult& result) {
         ++report_.packets_sent;
-        common::Ipv4Address addr;
-        if (auto blocked = classify_dns(result, forged_ips_, &addr)) {
-          report_.verdict = blocked->first;
-          report_.detail = blocked->second;
-          report_.samples_blocked = is_blocked(blocked->first) ? 1 : 0;
-        } else {
-          report_.verdict = Verdict::Reachable;
-          report_.detail = "resolved to " + addr.to_string();
-        }
-        report_.confidence = confidence_from(report_.verdict);
-        prov_.evidence(tb_.net.engine().now(),
-                       result.answered() ? "dns-answer" : "dns-timeout",
-                       report_.detail);
-        prov_.verdict(tb_.net.engine().now(), report_);
-        done_ = true;
-      });
+        auto [verdict, detail] = dns_verdict(result, forged_ips_);
+        finish(verdict, std::move(detail), confidence_from(verdict),
+               result.answered() ? "dns-answer" : "dns-timeout");
+      }));
 }
 
 // --- OvertHttpProbe ---
 
 OvertHttpProbe::OvertHttpProbe(Testbed& tb, OvertHttpOptions options)
-    : tb_(tb), options_(std::move(options)), forged_ips_(forged_hints(tb)) {
-  report_.technique = "overt-http";
-  report_.target = options_.domain + options_.path;
-  report_.samples = 1;
+    : Probe(tb, "overt-http", options.domain + options.path, 1),
+      options_(std::move(options)),
+      forged_ips_(forged_hints(tb)) {
   http_ = std::make_unique<proto::http::Client>(*tb_.client_stack);
 }
 
-void OvertHttpProbe::finish(Verdict v, std::string detail) {
-  if (done_) return;
-  report_.verdict = v;
-  report_.detail = std::move(detail);
-  report_.samples_blocked = is_blocked(v) ? 1 : 0;
-  report_.confidence = confidence_from(v);
-  prov_.evidence(tb_.net.engine().now(),
-                 is_blocked(v) ? "blocked" : "response", report_.detail);
-  prov_.verdict(tb_.net.engine().now(), report_);
-  done_ = true;
+void OvertHttpProbe::conclude_fetch(Verdict v, std::string detail) {
+  finish(v, std::move(detail), confidence_from(v),
+         is_blocked(v) ? "blocked" : "response");
 }
 
-void OvertHttpProbe::start() {
-  prov_.begin(tb_.prov_sink(), tb_.net.engine().now(), report_);
-  prov_.attempt(tb_.net.engine().now(), 1);
+void OvertHttpProbe::launch() {
+  begin_attempt();
   obs::ScopedCause cause(prov_.graph(), prov_.attempt_id());
   tb_.resolver->query(
       proto::dns::Name(options_.domain), proto::dns::RecordType::A,
-      [this, alive = guard()](const proto::dns::QueryResult& result) {
-        if (alive.expired()) return;
+      guarded([this](const proto::dns::QueryResult& result) {
         common::Ipv4Address addr;
         if (auto blocked = classify_dns(result, forged_ips_, &addr)) {
-          finish(blocked->first, blocked->second);
+          conclude_fetch(blocked->first, blocked->second);
           return;
         }
         fetch(addr);
-      });
+      }));
 }
 
 void OvertHttpProbe::fetch(common::Ipv4Address address) {
@@ -182,12 +138,10 @@ void OvertHttpProbe::fetch(common::Ipv4Address address) {
 
   obs::ScopedCause cause(prov_.graph(), prov_.attempt_id());
   http_->fetch(address, 80, req,
-               [this, alive = guard()](
-                   const proto::http::FetchResult& result) {
-                 if (alive.expired()) return;
+               guarded([this](const proto::http::FetchResult& result) {
                  auto [verdict, detail] = classify_fetch(result);
-                 finish(verdict, std::move(detail));
-               });
+                 conclude_fetch(verdict, std::move(detail));
+               }));
 }
 
 }  // namespace sm::core

@@ -21,17 +21,12 @@ struct OvertDnsOptions {
 class OvertDnsProbe : public Probe {
  public:
   OvertDnsProbe(Testbed& tb, OvertDnsOptions options = {});
-  void start() override;
-  bool done() const override { return done_; }
-  ProbeReport report() const override { return report_; }
 
  private:
-  Testbed& tb_;
+  void launch() override;
+
   OvertDnsOptions options_;
   std::set<uint32_t> forged_ips_;
-  bool done_ = false;
-  ProbeReport report_;
-  ProbeProvenance prov_;
 };
 
 struct OvertHttpOptions {
@@ -45,21 +40,15 @@ struct OvertHttpOptions {
 class OvertHttpProbe : public Probe {
  public:
   OvertHttpProbe(Testbed& tb, OvertHttpOptions options = {});
-  void start() override;
-  bool done() const override { return done_; }
-  ProbeReport report() const override { return report_; }
 
  private:
+  void launch() override;
   void fetch(common::Ipv4Address address);
-  void finish(Verdict v, std::string detail);
+  void conclude_fetch(Verdict v, std::string detail);
 
-  Testbed& tb_;
   OvertHttpOptions options_;
   std::set<uint32_t> forged_ips_;
   std::unique_ptr<proto::http::Client> http_;
-  bool done_ = false;
-  ProbeReport report_;
-  ProbeProvenance prov_;
 };
 
 /// Shared helper: classify a DNS QueryResult against the known-forged
@@ -68,6 +57,13 @@ class OvertHttpProbe : public Probe {
 std::optional<std::pair<Verdict, std::string>> classify_dns(
     const proto::dns::QueryResult& result,
     const std::set<uint32_t>& forged_ips, common::Ipv4Address* out_address);
+
+/// The verdict and detail of a lookup that is itself the measurement
+/// (overt DNS, stateless DNS mimicry): classify_dns's finding, or
+/// Reachable with the resolved address.
+std::pair<Verdict, std::string> dns_verdict(
+    const proto::dns::QueryResult& result,
+    const std::set<uint32_t>& forged_ips);
 
 /// The forged-address hint list probes use (models the published GFC
 /// forged-IP pools from the DNS-censorship literature).

@@ -4,114 +4,81 @@
 
 namespace sm::core {
 
-PingProbe::PingProbe(Testbed& tb, PingOptions options)
-    : tb_(tb),
-      options_(std::move(options)),
-      target6_(common::map_v6(options_.target)) {
-  report_.technique = "ping";
-  report_.target = options_.ipv6 ? target6_.to_string()
-                                 : options_.target.to_string();
-  report_.samples = options_.count;
-}
+using packet::IcmpHeader;
 
-void PingProbe::start() {
-  prov_.begin(tb_.prov_sink(), tb_.net.engine().now(), report_);
+PingProbe::PingProbe(Testbed& tb, PingOptions options)
+    : Probe(tb, "ping", options.target.to_string(), options.count),
+      options_(std::move(options)),
+      ladder_(options_.retry) {}
+
+void PingProbe::launch() {
   ident_ = tb_.client->alloc_ephemeral_port();
-  tb_.client->set_icmp_handler(
-      [this, alive = guard()](const packet::Decoded& d,
-                              const common::Bytes&) {
-        if (alive.expired() || done_) return;
+  const uint8_t echo_reply = options_.target.is_v6() ? IcmpHeader::kEchoReply6
+                                                     : IcmpHeader::kEchoReply;
+  tb_.client->set_icmp_handler(guarded(
+      [this, echo_reply](const packet::Decoded& d, const common::Bytes&) {
         // Echo replies match only over the family we probed on.
-        const bool family_match =
-            options_.ipv6
-                ? (d.is_v6() &&
-                   d.icmp->type == packet::IcmpHeader::kEchoReply6 &&
-                   d.ip6->src == target6_)
-                : (!d.is_v6() &&
-                   d.icmp->type == packet::IcmpHeader::kEchoReply &&
-                   d.ip.src == options_.target);
-        if (family_match && (d.icmp->rest >> 16) == ident_) {
-          if (seen_seqs_.insert(d.icmp->rest & 0xffff).second) {
-            prov_.evidence(tb_.net.engine().now(), "echo-reply",
-                           "seq=" + std::to_string(d.icmp->rest & 0xffff));
-          }
+        if (d.src_addr() != options_.target || d.icmp->type != echo_reply ||
+            (d.icmp->rest >> 16) != ident_)
+          return;
+        if (seen_seqs_.insert(d.icmp->rest & 0xffff).second) {
+          prov_.evidence(now(), "echo-reply",
+                         "seq=" + std::to_string(d.icmp->rest & 0xffff));
         }
-      });
+      }));
   send_round();
 }
 
 void PingProbe::send_round() {
-  report_.attempts = round_ + 1;
-  prov_.attempt(tb_.net.engine().now(), round_ + 1);
-  auto& engine = tb_.net.engine();
+  begin_attempt(ladder_);
+  const size_t round = ladder_.attempts() - 1;
   for (size_t i = 0; i < options_.count; ++i) {
     // Sequence numbers are globally unique across rounds so a late
     // reply to an earlier round still counts (and only once).
-    uint32_t seq =
-        static_cast<uint32_t>(round_ * options_.count + i) & 0xffff;
-    engine.schedule(options_.interval * static_cast<int64_t>(i),
-                    [this, alive = guard(), seq]() {
-                      if (alive.expired() || done_) return;
-                      ++report_.packets_sent;
-                      obs::ScopedCause cause(prov_.graph(),
-                                             prov_.attempt_id());
-                      if (options_.ipv6) {
-                        tb_.client->send(packet::make_icmp6(
-                            tb_.client->address6(), target6_,
-                            packet::IcmpHeader::kEchoRequest6, 0,
-                            (uint32_t{ident_} << 16) | seq));
-                      } else {
-                        tb_.client->send(packet::make_icmp(
-                            tb_.client->address(), options_.target,
-                            packet::IcmpHeader::kEchoRequest, 0,
-                            (uint32_t{ident_} << 16) | seq));
-                      }
-                    });
+    uint32_t seq = static_cast<uint32_t>(round * options_.count + i) & 0xffff;
+    after(options_.interval * static_cast<int64_t>(i), [this, seq]() {
+      ++report_.packets_sent;
+      obs::ScopedCause cause(prov_.graph(), prov_.attempt_id());
+      const common::IpAddress& target = options_.target;
+      uint32_t rest = (uint32_t{ident_} << 16) | seq;
+      if (target.is_v6()) {
+        tb_.client->send(packet::make_icmp6(tb_.client->address6(),
+                                            target.v6(),
+                                            IcmpHeader::kEchoRequest6, 0,
+                                            rest));
+      } else {
+        tb_.client->send(packet::make_icmp(tb_.client->address(), target.v4(),
+                                           IcmpHeader::kEchoRequest, 0,
+                                           rest));
+      }
+    });
   }
-  engine.schedule(options_.interval * static_cast<int64_t>(options_.count) +
-                      options_.reply_timeout,
-                  [this, alive = guard(), r = round_]() {
-                    if (!alive.expired()) on_round_timeout(r);
-                  });
+  after(options_.interval * static_cast<int64_t>(options_.count) +
+            options_.reply_timeout,
+        [this]() { on_round_timeout(); });
 }
 
-void PingProbe::on_round_timeout(size_t round) {
-  if (done_ || round != round_) return;
-  if (seen_seqs_.empty() && round_ + 1 < options_.retry.max_attempts) {
-    ++round_;
-    tb_.net.engine().schedule(options_.retry.gap_before(round_),
-                              [this, alive = guard()]() {
-                                if (!alive.expired() && !done_)
-                                  send_round();
-                              });
+void PingProbe::on_round_timeout() {
+  if (seen_seqs_.empty() && retry(ladder_, [this]() { send_round(); }))
     return;
-  }
-  finalize();
-}
-
-void PingProbe::finalize() {
-  if (done_) return;
-  size_t sent = (round_ + 1) * options_.count;
+  size_t sent = ladder_.attempts() * options_.count;
   size_t replies = seen_seqs_.size();
+  Verdict verdict = Verdict::Inconclusive;  // partial loss
+  if (replies >= options_.count) {
+    verdict = Verdict::Reachable;
+  } else if (replies == 0) {
+    verdict = Verdict::BlockedTimeout;
+  }
+  if (replies < sent) {
+    prov_.evidence(now(), "silence",
+                   common::format("%zu/%zu unanswered", sent - replies, sent));
+  }
+  finish(verdict,
+         common::format("%zu/%zu replies (%zu round(s))", replies, sent,
+                        ladder_.attempts()),
+         conclude(replies, 0, sent - replies, sent));
   report_.samples_blocked =
       replies >= options_.count ? 0 : options_.count - replies;
-  report_.detail = common::format("%zu/%zu replies (%zu round(s))",
-                                  replies, sent, round_ + 1);
-  if (replies >= options_.count) {
-    report_.verdict = Verdict::Reachable;
-  } else if (replies == 0) {
-    report_.verdict = Verdict::BlockedTimeout;
-  } else {
-    report_.verdict = Verdict::Inconclusive;  // partial loss
-  }
-  report_.confidence = conclude(replies, 0, sent - replies, sent);
-  if (replies < sent) {
-    prov_.evidence(tb_.net.engine().now(), "silence",
-                   common::format("%zu/%zu unanswered", sent - replies,
-                                  sent));
-  }
-  prov_.verdict(tb_.net.engine().now(), report_);
-  done_ = true;
 }
 
 }  // namespace sm::core

@@ -15,10 +15,10 @@
 namespace sm::core {
 
 struct PingOptions {
-  common::Ipv4Address target;
-  /// Probe over IPv6 (ICMPv6 echo to map_v6(target) from the client's
-  /// v6 address). Same verdict taxonomy as v4.
-  bool ipv6 = false;
+  /// The probe's family is the target's: pass common::map_v6(addr) for
+  /// an ICMPv6 echo from the client's v6 address. Same verdict taxonomy
+  /// as v4.
+  common::IpAddress target;
   size_t count = 3;
   common::Duration interval = common::Duration::millis(200);
   common::Duration reply_timeout = common::Duration::millis(800);
@@ -31,28 +31,19 @@ class PingProbe : public Probe {
  public:
   PingProbe(Testbed& tb, PingOptions options);
 
-  void start() override;
-  bool done() const override { return done_; }
-  ProbeReport report() const override { return report_; }
-
   size_t replies_received() const { return seen_seqs_.size(); }
 
  private:
+  void launch() override;
   void send_round();
-  void on_round_timeout(size_t round);
-  void finalize();
+  void on_round_timeout();
 
-  Testbed& tb_;
   PingOptions options_;
-  common::Ipv6Address target6_;  // map_v6(target); used when options_.ipv6
+  AttemptLadder ladder_;
   uint16_t ident_ = 0;
   /// Echo sequence numbers answered so far; a set, so duplicated
   /// replies (impaired links) cannot inflate the reply count.
   std::set<uint32_t> seen_seqs_;
-  size_t round_ = 0;
-  bool done_ = false;
-  ProbeReport report_;
-  ProbeProvenance prov_;
 };
 
 }  // namespace sm::core

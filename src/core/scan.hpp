@@ -46,32 +46,24 @@ class ScanProbe : public Probe {
   ScanProbe(Testbed& tb, ScanOptions options);
   ~ScanProbe() override;
 
-  void start() override;
-  bool done() const override { return done_; }
-  ProbeReport report() const override { return report_; }
-
   const std::map<uint16_t, PortState>& port_states() const {
     return states_;
   }
 
  private:
+  void launch() override;
   void send_round(const std::vector<uint16_t>& ports);
-  void on_round_done(size_t round);
+  void on_round_done();
   void on_reply(const packet::Decoded& d);
   void finalize();
 
-  Testbed& tb_;
   ScanOptions options_;
+  AttemptLadder ladder_;
   std::map<uint16_t, PortState> states_;
   std::map<uint16_t, uint16_t> sport_to_port_;  // our sport -> scanned port
   std::map<uint16_t, std::pair<uint16_t, uint32_t>>
       probe_params_;  // port -> (sport, iss), stable across rounds
-  size_t replies_ = 0;
-  size_t round_ = 0;
   uint64_t promisc_id_ = 0;
-  bool done_ = false;
-  ProbeReport report_;
-  ProbeProvenance prov_;
   static constexpr uint16_t kSportBase = 40000;
 };
 

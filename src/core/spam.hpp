@@ -30,30 +30,22 @@ class SpamProbe : public Probe {
  public:
   SpamProbe(Testbed& tb, SpamOptions options = {});
 
-  void start() override;
-  bool done() const override { return done_; }
-  ProbeReport report() const override { return report_; }
-
   /// The raw message that was (or would have been) transmitted — scored
   /// by the Figure 2 benchmark.
   const std::string& message() const { return message_; }
 
  private:
-  void begin_attempt();
+  void launch() override;
   void on_mx(const proto::dns::QueryResult& result);
   void on_exchange_a(const proto::dns::QueryResult& result);
   void deliver(common::Ipv4Address mail_server);
-  void finish(Verdict v, std::string detail);
+  void conclude_attempt(Verdict v, std::string detail);
 
-  Testbed& tb_;
   SpamOptions options_;
+  AttemptLadder ladder_;
   std::set<uint32_t> forged_ips_;
   std::unique_ptr<proto::smtp::Client> smtp_;
   std::string message_;
-  size_t attempt_ = 0;
-  bool done_ = false;
-  ProbeReport report_;
-  ProbeProvenance prov_;
 };
 
 }  // namespace sm::core

@@ -15,13 +15,12 @@
 namespace sm::core {
 
 struct SynReachabilityOptions {
-  common::Ipv4Address target;
-  uint16_t port = 80;
-  /// Probe over IPv6: the wire target is the map_v6 embedding of
-  /// `target`, sent from the client's v6 address (cover likewise). The
-  /// verdict taxonomy is unchanged — which is what lets the E2 matrix
+  /// The probe's family is the target's: pass common::map_v6(addr) to
+  /// probe over IPv6, sent from the client's v6 address (cover likewise).
+  /// The verdict taxonomy is unchanged — which is what lets the E2 matrix
   /// put a v4 row and a v6 row for the same host side by side.
-  bool ipv6 = false;
+  common::IpAddress target;
+  uint16_t port = 80;
   /// Spoofed duplicates of the probe from this many neighbors.
   size_t cover_count = 0;
   common::Duration reply_timeout = common::Duration::millis(800);
@@ -36,28 +35,19 @@ class SynReachabilityProbe : public Probe {
   SynReachabilityProbe(Testbed& tb, SynReachabilityOptions options);
   ~SynReachabilityProbe() override;
 
-  void start() override;
-  bool done() const override { return done_; }
-  ProbeReport report() const override { return report_; }
-
  private:
+  void launch() override;
   void send_attempt();
+  void send(uint8_t flags, uint32_t seq);
   void on_reply(const packet::Decoded& d);
-  void on_attempt_timeout(size_t attempt);
-  void finalize();
+  void on_attempt_timeout();
 
-  Testbed& tb_;
   SynReachabilityOptions options_;
-  common::Ipv6Address target6_;  // map_v6(target); used when options_.ipv6
+  AttemptLadder ladder_;
   std::unique_ptr<spoof::StatelessSynCover> cover_;
   uint16_t sport_ = 0;
   uint32_t iss_ = 0;
   uint64_t promisc_id_ = 0;
-  size_t attempt_ = 0;  // 0-based index of the attempt in flight
-  bool replied_ = false;
-  bool done_ = false;
-  ProbeReport report_;
-  ProbeProvenance prov_;
 };
 
 }  // namespace sm::core

@@ -59,13 +59,14 @@ Confidence conclude(size_t open, size_t active_blocked, size_t silent,
   return c;
 }
 
-Confidence confidence_from(Verdict v) {
+Confidence confidence_from(Verdict v, size_t silent_before) {
   switch (v) {
-    case Verdict::Reachable: return conclude(1, 0, 0);
+    case Verdict::Reachable: return conclude(1, 0, silent_before);
     case Verdict::BlockedRst:
     case Verdict::BlockedDnsForgery:
-    case Verdict::BlockedBlockpage: return conclude(0, 1, 0);
-    case Verdict::BlockedTimeout: return conclude(0, 0, 1, 1);
+    case Verdict::BlockedBlockpage: return conclude(0, 1, silent_before);
+    case Verdict::BlockedTimeout:
+      return conclude(0, 0, silent_before + 1, silent_before + 1);
     case Verdict::Inconclusive: break;
   }
   return Confidence{};

@@ -74,9 +74,13 @@ struct Confidence {
 Confidence conclude(size_t open, size_t active_blocked, size_t silent,
                     size_t min_silent_for_blocked = 1);
 
-/// Single-observation Confidence for probes without a retry loop: maps
-/// one Verdict to the equivalent one-trial tally.
-Confidence confidence_from(Verdict v);
+/// Confidence of one final observation `v`, after `silent_before`
+/// earlier attempts went unanswered: an answer (or active interference)
+/// outweighs the silence before it, while silence itself concludes
+/// Blocked only as the last of `silent_before + 1` silent attempts, i.e.
+/// once the retry ladder ran dry. Inconclusive yields the default
+/// Confidence.
+Confidence confidence_from(Verdict v, size_t silent_before = 0);
 
 /// Retry/backoff discipline for probes whose evidence is silence-shaped.
 /// Attempt k (0-based) is retried after `backoff * 2^k` of simulated
@@ -92,6 +96,27 @@ struct RetryPolicy {
     for (size_t i = 1; i < next_attempt; ++i) g = g * 2;
     return g;
   }
+};
+
+/// One climb up a RetryPolicy: the attempt in flight, how many attempts
+/// before it went unanswered, and whether another rung is left. A ladder
+/// only climbs on silence, so every attempt before the current one was
+/// silent.
+class AttemptLadder {
+ public:
+  explicit AttemptLadder(RetryPolicy policy = {}) : policy_(policy) {}
+
+  /// Attempts used so far, the one in flight included (1-based).
+  size_t attempts() const { return used_; }
+  /// Earlier attempts that drew no answer.
+  size_t silent_before() const { return used_ - 1; }
+  bool can_climb() const { return used_ < policy_.max_attempts; }
+  /// Moves to the next attempt; returns the backoff gap to wait first.
+  common::Duration climb() { return policy_.gap_before(used_++); }
+
+ private:
+  RetryPolicy policy_;
+  size_t used_ = 1;
 };
 
 /// A finished measurement.

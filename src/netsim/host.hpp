@@ -39,6 +39,12 @@ class Host : public Node {
   Ipv4Address address() const { return address_; }
   Ipv6Address address6() const { return address6_; }
   void set_address6(Ipv6Address addr) { address6_ = addr; }
+  /// This host's address in `peer`'s family: the source of anything it
+  /// sends to `peer`.
+  common::IpAddress address_for(common::IpAddress peer) const {
+    return peer.is_v6() ? common::IpAddress(address6_)
+                        : common::IpAddress(address_);
+  }
 
   /// Sends a fully formed datagram out of the uplink (port 0). The source
   /// address is whatever the packet says — spoofing allowed.

@@ -1,7 +1,10 @@
 // IPv6 codec: validating parse (shared by decode and route_peek),
-// builders, byte-preserving re-encode, and the extension-header
-// normalizer. The fragment extension header is handled here for parsing;
-// splitting/reassembly lives in packet/fragment.cpp beside the v4 path.
+// builders (and the family-blind ones over IpAddress), byte-preserving
+// re-encode, and the extension-header normalizer. The fragment extension
+// header is handled here for parsing; splitting/reassembly lives in
+// packet/fragment.cpp beside the v4 path.
+#include <cassert>
+
 #include "common/bytes.hpp"
 #include "packet/checksum.hpp"
 #include "packet/packet.hpp"
@@ -267,6 +270,27 @@ Packet make_icmp6(Ipv6Address src, Ipv6Address dst, uint8_t type,
   seg.patch_u16(2, pseudo_header_checksum6(src, dst, proto_u8(IpProto::Icmp6),
                                            seg.data()));
   return finish6(src, dst, proto_u8(IpProto::Icmp6), ip, seg.data());
+}
+
+Packet make_tcp(common::IpAddress src, common::IpAddress dst,
+                uint16_t src_port, uint16_t dst_port, uint8_t flags,
+                uint32_t seq, uint32_t ack,
+                std::span<const uint8_t> payload) {
+  assert(src.is_v6() == dst.is_v6());
+  if (dst.is_v6())
+    return make_tcp6(src.v6(), dst.v6(), src_port, dst_port, flags, seq, ack,
+                     payload);
+  return make_tcp(src.v4(), dst.v4(), src_port, dst_port, flags, seq, ack,
+                  payload);
+}
+
+Packet make_udp(common::IpAddress src, common::IpAddress dst,
+                uint16_t src_port, uint16_t dst_port,
+                std::span<const uint8_t> payload) {
+  assert(src.is_v6() == dst.is_v6());
+  if (dst.is_v6())
+    return make_udp6(src.v6(), dst.v6(), src_port, dst_port, payload);
+  return make_udp(src.v4(), dst.v4(), src_port, dst_port, payload);
 }
 
 Packet reassemble6(const Ipv6Header& ip6, std::span<const uint8_t> l4_bytes) {

@@ -352,6 +352,17 @@ Packet make_icmp6(Ipv6Address src, Ipv6Address dst, uint8_t type,
                   std::span<const uint8_t> payload = {},
                   const Ipv6Options& ip = {});
 
+/// Family-blind builders: the v4 or v6 builder above, chosen by the
+/// addresses' family, with default options. `src` and `dst` must be of
+/// one family.
+Packet make_tcp(common::IpAddress src, common::IpAddress dst,
+                uint16_t src_port, uint16_t dst_port, uint8_t flags,
+                uint32_t seq, uint32_t ack,
+                std::span<const uint8_t> payload = {});
+Packet make_udp(common::IpAddress src, common::IpAddress dst,
+                uint16_t src_port, uint16_t dst_port,
+                std::span<const uint8_t> payload);
+
 /// Re-encodes a decoded v6 header (fixed header plus extension chain,
 /// byte-preserving) over `l4_bytes`. The decode→reassemble6 round trip is
 /// the O5 fixpoint the fuzz suite checks.

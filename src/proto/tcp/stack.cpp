@@ -52,10 +52,11 @@ void Stack::on_packet(const packet::Decoded& d, const Bytes& /*wire*/) {
       ++stats_.segments_out;
       uint32_t iss =
           iss_for(common::host_identity(d.src_addr()), d.tcp->src_port);
-      host_.send(packet::make_tcp6(host_.address6(), d.ip6->src,
-                                   d.tcp->dst_port, d.tcp->src_port,
-                                   TcpFlags::kSyn | TcpFlags::kAck, iss,
-                                   d.tcp->seq + 1));
+      host_.send(packet::make_tcp(host_.address_for(d.src_addr()),
+                                  d.src_addr(), d.tcp->dst_port,
+                                  d.tcp->src_port,
+                                  TcpFlags::kSyn | TcpFlags::kAck, iss,
+                                  d.tcp->seq + 1));
       return;
     }
     if (!d.tcp->rst() && rst_on_unknown_) send_raw_rst(d);
@@ -128,14 +129,9 @@ void Stack::send_raw_rst(const packet::Decoded& d) {
     if (d.tcp->fin()) seg_len += 1;
     ack = d.tcp->seq + seg_len;
   }
-  if (d.is_v6()) {
-    host_.send(packet::make_tcp6(host_.address6(), d.ip6->src,
-                                 d.tcp->dst_port, d.tcp->src_port, flags,
-                                 seq, ack));
-  } else {
-    host_.send(packet::make_tcp(host_.address(), d.ip.src, d.tcp->dst_port,
-                                d.tcp->src_port, flags, seq, ack));
-  }
+  host_.send(packet::make_tcp(host_.address_for(d.src_addr()), d.src_addr(),
+                              d.tcp->dst_port, d.tcp->src_port, flags, seq,
+                              ack));
 }
 
 void Stack::schedule_retransmit(Connection& c, Duration rto,

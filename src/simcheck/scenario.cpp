@@ -245,16 +245,14 @@ std::unique_ptr<core::Probe> Scenario::make_probe(
   switch (technique) {
     case Technique::Ping: {
       core::PingOptions opts;
-      opts.target = service_address(service);
-      opts.ipv6 = ipv6;
+      opts.target = common::map_family(service_address(service), ipv6);
       opts.count = std::max<uint32_t>(1, samples);
       opts.retry = retry;
       return std::make_unique<core::PingProbe>(tb, opts);
     }
     case Technique::SynReach: {
       core::SynReachabilityOptions opts;
-      opts.target = service_address(service);
-      opts.ipv6 = ipv6;
+      opts.target = common::map_family(service_address(service), ipv6);
       opts.port = 80;
       opts.cover_count = cover_count;
       opts.retry = retry;

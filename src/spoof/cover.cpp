@@ -36,30 +36,17 @@ size_t StatelessDnsCover::emit(
 }
 
 size_t StatelessSynCover::emit(
-    const std::vector<Ipv4Address>& spoofed_sources, Ipv4Address target,
-    uint16_t port) {
-  size_t sent = 0;
-  for (const auto& src : spoofed_sources) {
-    uint16_t sport = static_cast<uint16_t>(
-        49152 + (src.value() * 2654435761u) % 16000);
-    host_.send(packet::make_tcp(src, target, sport, port, TcpFlags::kSyn,
-                                next_seq_ += 64000, 0));
-    ++sent;
-  }
-  return sent;
-}
-
-size_t StatelessSynCover::emit6(
     const std::vector<Ipv4Address>& spoofed_sources,
-    common::Ipv6Address target, uint16_t port) {
+    common::IpAddress target, uint16_t port) {
   size_t sent = 0;
   for (const auto& src : spoofed_sources) {
-    // Same source-port/sequence discipline as the v4 path, keyed off the
-    // neighbor's v4 identity, so the two families' cover is comparable.
+    // Source port and sequence are keyed off the neighbor's v4 identity
+    // in both families, so the two families' cover is comparable.
     uint16_t sport = static_cast<uint16_t>(
         49152 + (src.value() * 2654435761u) % 16000);
-    host_.send(packet::make_tcp6(common::map_v6(src), target, sport, port,
-                                 TcpFlags::kSyn, next_seq_ += 64000, 0));
+    host_.send(packet::make_tcp(common::map_family(src, target.is_v6()),
+                                target, sport, port, TcpFlags::kSyn,
+                                next_seq_ += 64000, 0));
     ++sent;
   }
   return sent;

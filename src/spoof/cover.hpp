@@ -57,14 +57,13 @@ class StatelessSynCover {
  public:
   explicit StatelessSynCover(netsim::Host& host) : host_(host) {}
 
+  /// Emits one SYN to `target` from each address in `spoofed_sources`, in
+  /// the target's family. Toward a v6 target each neighbor is spoofed as
+  /// its map_v6 identity, so the tap sees the same /24 probing over the
+  /// other family; SAV judges the embedded v4 bits, so filtering behaves
+  /// identically to v4 cover. Returns the number of packets sent.
   size_t emit(const std::vector<Ipv4Address>& spoofed_sources,
-              Ipv4Address target, uint16_t port);
-
-  /// v6 variant: each neighbor is spoofed as its map_v6 identity, so the
-  /// tap sees the same /24 probing — over the other family. SAV judges
-  /// the embedded v4 bits, so filtering behaves identically to v4 cover.
-  size_t emit6(const std::vector<Ipv4Address>& spoofed_sources,
-               common::Ipv6Address target, uint16_t port);
+              common::IpAddress target, uint16_t port);
 
  private:
   netsim::Host& host_;

@@ -3,6 +3,9 @@
 // verdict classification details, risk arithmetic.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "core/ddos.hpp"
 #include "core/mimicry.hpp"
 #include "core/overt.hpp"
@@ -149,6 +152,50 @@ TEST(DdosProbeDetail, PerSampleAccounting) {
   EXPECT_EQ(report.samples, 6u);
   EXPECT_EQ(probe.sample_verdicts().size(), 6u);
   EXPECT_EQ(report.samples_blocked, 0u);
+}
+
+TEST(LookupProbes, NonexistentNameIsInconclusiveAndClaimsNothing) {
+  // A name with no records is a confounder, not censorship: every probe
+  // that looks it up reports Inconclusive, counts no sample blocked, and
+  // records no evidence claiming delivery or blocking.
+  TestbedConfig cfg;
+  cfg.enable_provenance = true;
+  const std::string domain = "nonexistent.example";
+  std::vector<std::function<std::unique_ptr<Probe>(Testbed&)>> factories = {
+      [&](Testbed& tb) {
+        return std::make_unique<OvertHttpProbe>(
+            tb, OvertHttpOptions{.domain = domain});
+      },
+      [&](Testbed& tb) {
+        return std::make_unique<SpamProbe>(tb, SpamOptions{.domain = domain});
+      },
+      [&](Testbed& tb) {
+        return std::make_unique<DdosProbe>(
+            tb, DdosOptions{.domain = domain, .requests = 5});
+      },
+  };
+  for (const auto& factory : factories) {
+    Testbed tb(cfg);
+    std::unique_ptr<Probe> probe = factory(tb);
+    ProbeReport report = run_probe(tb, *probe);
+    SCOPED_TRACE(report.to_string());
+    EXPECT_EQ(report.verdict, Verdict::Inconclusive);
+    EXPECT_EQ(report.confidence.conclusion, Conclusion::Inconclusive);
+    EXPECT_EQ(report.samples_blocked, 0u);
+    EXPECT_FALSE(report.confidence.confirmed());
+    size_t verdicts = 0;
+    for (const obs::ProvEvent& ev : tb.provenance().events()) {
+      if (ev.kind == obs::ProvKind::Evidence) {
+        EXPECT_NE(ev.what, "delivered");
+        EXPECT_NE(ev.what, "blocked");
+        EXPECT_NE(ev.what, "dns-blocked");
+      } else if (ev.kind == obs::ProvKind::Verdict) {
+        ++verdicts;
+        EXPECT_EQ(ev.detail, "inconclusive");
+      }
+    }
+    EXPECT_EQ(verdicts, 1u);
+  }
 }
 
 TEST(SpamProbeDetail, MessageIsSpamScorable) {

@@ -10,7 +10,7 @@
 // runs, (c) byte-identical export across campaign thread counts and
 // shard modes, (d) the Chrome trace view's spans, tids and instants, and
 // (e) the checked-in golden fixtures for censored and clean E2-style
-// scenarios.
+// scenarios and for every probe's retry ladder.
 //
 // Regenerate fixtures after an intentional format change:
 //   UPDATE_GOLDEN=1 ./build/tests/test_provenance
@@ -26,11 +26,15 @@
 
 #include "campaign/campaign.hpp"
 #include "censor/gfc.hpp"
+#include "core/ddos.hpp"
 #include "core/mimicry.hpp"
 #include "core/overt.hpp"
 #include "core/ping.hpp"
 #include "core/probe.hpp"
+#include "core/report_json.hpp"
 #include "core/risk.hpp"
+#include "core/scan.hpp"
+#include "core/spam.hpp"
 #include "core/synprobe.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
@@ -581,17 +585,17 @@ TEST(ProvenanceCampaign, MixedFamilyJsonlByteIdenticalAcrossShardModes) {
           .factory = [v6](core::Testbed& tb) {
             return std::make_unique<core::SynReachabilityProbe>(
                 tb, core::SynReachabilityOptions{
-                        .target = tb.addr().web_blocked,
-                        .port = 80,
-                        .ipv6 = v6});
+                        .target = common::map_family(tb.addr().web_blocked,
+                                                     v6),
+                        .port = 80});
           }});
       trials.push_back(campaign::Trial{
           .name = cfg_name + "/ping" + (v6 ? "-v6" : "-v4"),
           .config = cfg,
           .factory = [v6](core::Testbed& tb) {
             return std::make_unique<core::PingProbe>(
-                tb, core::PingOptions{.target = tb.addr().web_blocked,
-                                      .ipv6 = v6});
+                tb, core::PingOptions{.target = common::map_family(
+                                          tb.addr().web_blocked, v6)});
           }});
     }
   }
@@ -689,7 +693,7 @@ TEST(ProvenanceGolden, CensoredV6SynReach) {
   cfg.policy.blocked_ips6 = {common::map_v6(addr.web_blocked)};
   core::Testbed tb(cfg);
   core::SynReachabilityProbe probe(
-      tb, {.target = tb.addr().web_blocked, .port = 80, .ipv6 = true});
+      tb, {.target = common::map_v6(tb.addr().web_blocked), .port = 80});
   core::run_probe(tb, probe);
   tb.run_for(common::Duration::seconds(2));
   check_golden("provenance_censored_v6.json", tb.provenance_json() + "\n");
@@ -700,8 +704,133 @@ TEST(ProvenanceGolden, CleanV6SynReach) {
   // SYN-ACK comes back over v6 and the verdict roots in it.
   core::Testbed tb(prov_config());
   core::SynReachabilityProbe probe(
-      tb, {.target = tb.addr().web_blocked, .port = 80, .ipv6 = true});
+      tb, {.target = common::map_v6(tb.addr().web_blocked), .port = 80});
   core::run_probe(tb, probe);
   tb.run_for(common::Duration::seconds(2));
   check_golden("provenance_clean_v6.json", tb.provenance_json() + "\n");
+}
+
+// --- Retry ladders -----------------------------------------------------
+
+namespace {
+
+/// A small testbed whose client link drops `loss` of all packets: every
+/// ladder below recovers only after re-sending.
+core::TestbedConfig lossy_config(double loss, uint64_t seed) {
+  core::TestbedConfig cfg = prov_config();
+  cfg.neighbor_count = 2;
+  cfg.client_link.loss_rate = loss;
+  cfg.netsim_seed = seed;
+  return cfg;
+}
+
+/// A small testbed whose censor null-routes `host` in both families:
+/// every ladder below runs dry.
+core::TestbedConfig dropping_config(common::Ipv4Address host) {
+  core::TestbedConfig cfg = prov_config();
+  cfg.neighbor_count = 2;
+  cfg.policy = censor::dropping_profile({host});
+  cfg.policy.blocked_ips6 = {common::map_v6(host)};
+  return cfg;
+}
+
+/// One probe per retry ladder, each on a path where the ladder recovers
+/// after several attempts and on one where it runs dry. Cases that end
+/// inconclusive are left out: they pin no ladder.
+std::vector<campaign::Trial> ladder_cases() {
+  core::TestbedAddresses addr;
+  const core::RetryPolicy four{.max_attempts = 4};
+  const core::RetryPolicy three{.max_attempts = 3};
+  std::vector<campaign::Trial> cases;
+  auto add = [&](std::string name, core::TestbedConfig cfg,
+                 campaign::ProbeFactory factory) {
+    cases.push_back({.name = std::move(name),
+                     .config = std::move(cfg),
+                     .factory = std::move(factory)});
+  };
+  for (bool v6 : {false, true}) {
+    const std::string family = v6 ? "-v6" : "-v4";
+    auto syn = [=](common::Ipv4Address host, core::RetryPolicy retry) {
+      return [=](core::Testbed& tb) {
+        return std::make_unique<core::SynReachabilityProbe>(
+            tb, core::SynReachabilityOptions{
+                    .target = common::map_family(host, v6),
+                    .port = 80,
+                    .cover_count = 2,
+                    .retry = retry});
+      };
+    };
+    auto ping = [=](common::Ipv4Address host, core::RetryPolicy retry) {
+      return [=](core::Testbed& tb) {
+        return std::make_unique<core::PingProbe>(
+            tb, core::PingOptions{.target = common::map_family(host, v6),
+                                  .count = 1,
+                                  .retry = retry});
+      };
+    };
+    add("syn-reach" + family + "/lossy", lossy_config(0.45, 2),
+        syn(addr.web_open, four));
+    add("syn-reach" + family + "/dropping", dropping_config(addr.web_blocked),
+        syn(addr.web_blocked, three));
+    add("ping" + family + "/lossy", lossy_config(0.45, 2),
+        ping(addr.web_open, four));
+    add("ping" + family + "/dropping", dropping_config(addr.web_blocked),
+        ping(addr.web_blocked, three));
+  }
+  auto scan = [](common::Ipv4Address host, core::RetryPolicy retry) {
+    return [=](core::Testbed& tb) {
+      core::ScanOptions opts;
+      opts.target = host;
+      opts.ports = {22, 80, 443};
+      opts.retry = retry;
+      return std::make_unique<core::ScanProbe>(tb, opts);
+    };
+  };
+  add("scan/lossy", lossy_config(0.45, 2), scan(addr.web_open, four));
+  add("scan/dropping", dropping_config(addr.web_blocked),
+      scan(addr.web_blocked, three));
+  auto spam = [](std::string domain, core::RetryPolicy retry) {
+    return [=](core::Testbed& tb) {
+      return std::make_unique<core::SpamProbe>(
+          tb, core::SpamOptions{.domain = domain, .retry = retry});
+    };
+  };
+  add("spam/lossy", lossy_config(0.2, 1), spam("open.example", four));
+  add("spam/dropping", dropping_config(addr.mail_blocked),
+      spam("blocked.example", three));
+  auto ddos = [](core::RetryPolicy retry) {
+    return [=](core::Testbed& tb) {
+      return std::make_unique<core::DdosProbe>(
+          tb, core::DdosOptions{
+                  .domain = "open.example", .requests = 2, .retry = retry});
+    };
+  };
+  add("ddos/lossy", lossy_config(0.45, 2), ddos(four));
+  add("ddos/dropping", dropping_config(addr.web_open), ddos(three));
+  core::TestbedConfig dns_dropped = prov_config();
+  dns_dropped.neighbor_count = 2;
+  dns_dropped.policy.dns_drop_keywords = {"open"};
+  add("ddos/dns-dropping", dns_dropped, ddos(three));
+  return cases;
+}
+
+}  // namespace
+
+TEST(ProbeGolden, RetryLadders) {
+  // Each line: the case, its report and its provenance graph. A rewrite
+  // of any ladder (attempt count, backoff, silence folding, provenance
+  // lifecycle) that moves a byte shows up here.
+  std::string lines;
+  for (const campaign::Trial& c : ladder_cases()) {
+    core::Testbed tb(c.config);
+    std::unique_ptr<core::Probe> probe = c.factory(tb);
+    core::ProbeReport report = core::run_probe(tb, *probe);
+    EXPECT_TRUE(probe->done()) << c.name;
+    EXPECT_GE(report.attempts, 2u) << c.name << ": " << report.to_string();
+    EXPECT_NE(report.verdict, core::Verdict::Inconclusive) << c.name;
+    lines += "{\"case\":\"" + c.name + "\",\"report\":" +
+             core::to_json(report) + ",\"provenance\":" +
+             tb.provenance_json() + "}\n";
+  }
+  check_golden("probe_ladders.jsonl", lines);
 }

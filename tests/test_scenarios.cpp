@@ -108,8 +108,8 @@ TEST(SchedulerScenario, MixedTechniquesOverOneTestbed) {
   cfg.policy.blocked_ips.push_back(TestbedAddresses{}.web_blocked);
   Testbed tb(cfg);
   // Each probe is destroyed before the next is built, while its timers
-  // may still sit in the engine queue; guard() keeps them out of the
-  // dead probe.
+  // may still sit in the engine queue; Probe::guarded() keeps them out
+  // of the dead probe.
   std::vector<ProbeReport> reports;
   for (Ipv4Address target : {tb.addr().web_open, tb.addr().web_blocked}) {
     SynReachabilityProbe probe(tb, {.target = target, .port = 80});
