@@ -6,24 +6,20 @@
 // BOTH backends — the in-process thread pool and the forked
 // process-shard workers (the sm-campaignd substrate).
 //
-// Emits a human-readable table on stdout and a JSON report (default
-// BENCH_campaign.json, or argv[1]). Every run records the machine's
-// hardware concurrency, and speedup_Nx / proc_speedup_Nx fields are
-// only emitted when the machine actually has >= N cores — an
+// Prints per-run timings on stdout. Byte-identity is an invariant. The
+// speedup_4x and proc_speedup_4x contrasts (floor 2.0, see report.hpp)
+// are recorded only when the machine actually has >= 4 cores — an
 // oversubscribed run still checks determinism, but its "speedup" is
-// scheduling noise, not scaling data, and is skipped with a note
-// instead. bench/run_benches.sh gates on speedup_4x and proc_speedup_4x
-// when the machine has >=4 cores, guarding against accidental
+// scheduling noise, not scaling data. They guard against accidental
 // serialization through a global lock (threads) or the controller pipe
 // (processes).
-//
-// Exit code: 0 only if every run produced identical bytes.
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "report.hpp"
 
 using namespace sm;
 
@@ -42,8 +38,6 @@ std::vector<campaign::Trial> workload() {
 
 struct Timed {
   size_t threads = 0;
-  campaign::Shard shard = campaign::Shard::ByIndex;
-  campaign::Backend backend = campaign::Backend::Thread;
   double seconds = 0.0;
   double trials_per_sec = 0.0;
   std::string jsonl;
@@ -62,8 +56,6 @@ Timed time_run(const std::vector<campaign::Trial>& trials, size_t threads,
       std::chrono::steady_clock::now() - start;
   Timed out;
   out.threads = threads;
-  out.shard = shard;
-  out.backend = backend;
   out.seconds = elapsed.count();
   out.trials_per_sec = static_cast<double>(trials.size()) / elapsed.count();
   out.jsonl = result.to_jsonl();
@@ -77,7 +69,7 @@ Timed time_run(const std::vector<campaign::Trial>& trials, size_t threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_campaign.json";
+  bench::Report metrics("campaign", argc, argv);
   std::vector<campaign::Trial> trials = workload();
   size_t hw = campaign::resolve_threads(0);
   std::printf("E18 — campaign scaling: %zu eval-matrix trials, hardware "
@@ -119,21 +111,13 @@ int main(int argc, char** argv) {
   double base = runs[0].trials_per_sec;
   // A speedup figure is only meaningful when the machine can actually
   // run that many workers in parallel.
-  std::string speedup_fields, skipped_notes;
   for (size_t i = 1; i < 4; ++i) {
     size_t threads = runs[i].threads;
-    char buf[96];
     if (threads <= hw) {
       double speedup = runs[i].trials_per_sec / base;
-      std::snprintf(buf, sizeof buf, "\"speedup_%zux\":%.3f,", threads,
-                    speedup);
-      speedup_fields += buf;
       std::printf("speedup vs -j1 at -j%zu: %.2f\n", threads, speedup);
+      if (threads == 4) metrics.contrast("speedup_4x", speedup, 2.0);
     } else {
-      std::snprintf(buf, sizeof buf,
-                    "%s\"-j%zu: only %zu core(s), speedup not comparable\"",
-                    skipped_notes.empty() ? "" : ",", threads, hw);
-      skipped_notes += buf;
       std::printf("speedup at -j%zu: skipped (only %zu hardware core(s); "
                   "determinism still checked)\n",
                   threads, hw);
@@ -141,55 +125,17 @@ int main(int argc, char** argv) {
   }
   // Process-backend speedup vs the same -j1 thread baseline: a healthy
   // controller keeps the pipe protocol off the critical path.
-  {
-    const Timed& proc4 = runs[first_proc + 1];
-    char buf[96];
-    if (proc4.threads <= hw) {
-      double speedup = proc4.trials_per_sec / base;
-      std::snprintf(buf, sizeof buf, "\"proc_speedup_4x\":%.3f,", speedup);
-      speedup_fields += buf;
-      std::printf("process-shard speedup vs -j1 at -j4: %.2f\n", speedup);
-    } else {
-      std::snprintf(buf, sizeof buf,
-                    "%s\"proc -j4: only %zu core(s), speedup not "
-                    "comparable\"",
-                    skipped_notes.empty() ? "" : ",", hw);
-      skipped_notes += buf;
-      std::printf("process-shard speedup at -j4: skipped (only %zu hardware "
-                  "core(s); determinism still checked)\n",
-                  hw);
-    }
-  }
-  std::printf("deterministic (byte-identical reports across -j, shard "
-              "modes, and backends): %s\n",
-              deterministic ? "PASS" : "FAIL");
-
-  FILE* f = std::fopen(out_path, "w");
-  if (f) {
-    std::fprintf(f,
-                 "{\"bench\":\"campaign_scaling\",\"trials\":%zu,"
-                 "\"hw_concurrency\":%zu,\"deterministic\":%s,"
-                 "%s\"speedup_skipped\":[%s],\"runs\":[",
-                 trials.size(), hw, deterministic ? "true" : "false",
-                 speedup_fields.c_str(), skipped_notes.c_str());
-    for (size_t i = 0; i < runs.size(); ++i) {
-      std::fprintf(f,
-                   "%s{\"threads\":%zu,\"hw_concurrency\":%zu,"
-                   "\"shard\":\"%s\",\"backend\":\"%s\",\"seconds\":%.4f,"
-                   "\"trials_per_sec\":%.2f,\"scaling_valid\":%s}",
-                   i ? "," : "", runs[i].threads, hw,
-                   runs[i].shard == campaign::Shard::ByIndex ? "by-index"
-                                                             : "dynamic",
-                   runs[i].backend == campaign::Backend::Thread ? "thread"
-                                                                : "process",
-                   runs[i].seconds, runs[i].trials_per_sec,
-                   runs[i].threads <= hw ? "true" : "false");
-    }
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path);
+  const Timed& proc4 = runs[first_proc + 1];
+  if (proc4.threads <= hw) {
+    double speedup = proc4.trials_per_sec / base;
+    std::printf("process-shard speedup vs -j1 at -j4: %.2f\n", speedup);
+    metrics.contrast("proc_speedup_4x", speedup, 2.0);
   } else {
-    std::fprintf(stderr, "!!! cannot write %s\n", out_path);
+    std::printf("process-shard speedup at -j4: skipped (only %zu hardware "
+                "core(s); determinism still checked)\n",
+                hw);
   }
-  return deterministic ? 0 : 1;
+  // Byte-identical reports across -j, shard modes, and backends.
+  metrics.require("deterministic", deterministic);
+  return metrics.finish();
 }

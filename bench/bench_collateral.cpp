@@ -24,6 +24,7 @@
 #include "netsim/topology.hpp"
 #include "proto/http/client.hpp"
 #include "proto/http/server.hpp"
+#include "report.hpp"
 
 using namespace sm;
 using common::Duration;
@@ -95,7 +96,8 @@ CloudResult run(const censor::CensorPolicy& policy) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("collateral", argc, argv);
   std::printf("E13 — blocking a cloud-hosted measurement server: efficacy "
               "vs. collateral (paper §4.1)\n\n");
 
@@ -139,14 +141,19 @@ int main() {
   std::printf("reading: the /32 block is surgical but requires knowing "
               "which cloud address is the measurement server —\nexactly "
               "the attribution problem the techniques create; the /24 "
-              "block needs no attribution but darkens %zu tenants.\n",
+              "block needs no attribution but darkens %zu tenants.\n\n",
               kTenants);
-  bool shape = r_none.measurement_reachable &&
-               r_none.tenants_reachable == kTenants &&
-               !r_precise.measurement_reachable &&
-               r_precise.tenants_reachable == kTenants &&
-               !r_range.measurement_reachable &&
-               r_range.tenants_reachable == 0;
-  std::printf("\npaper-shape check: %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  metrics.require("unblocked_measurement_reachable",
+                  r_none.measurement_reachable);
+  metrics.invariant("unblocked_tenants_reachable", r_none.tenants_reachable,
+                    kTenants, "tenants");
+  metrics.require("precise_block_blocks_measurement",
+                  !r_precise.measurement_reachable);
+  metrics.invariant("precise_block_tenants_reachable",
+                    r_precise.tenants_reachable, kTenants, "tenants");
+  metrics.require("range_block_blocks_measurement",
+                  !r_range.measurement_reachable);
+  metrics.invariant("range_block_tenants_reachable",
+                    r_range.tenants_reachable, 0, "tenants");
+  return metrics.finish();
 }

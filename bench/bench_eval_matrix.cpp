@@ -28,6 +28,7 @@
 #include "core/ping.hpp"
 #include "netsim/topology.hpp"
 #include "packet/packet.hpp"
+#include "report.hpp"
 
 using namespace sm;
 using bench::NamedFactory;
@@ -112,7 +113,8 @@ ExtHeaderOutcome ext_header_run(bool with_ext, bool with_normalizer) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("eval_matrix", argc, argv);
   std::printf("E2 — accuracy x evasion matrix (paper §3.2.2)\n\n");
   auto techniques = bench::standard_techniques();
   auto scenarios = bench::eval_matrix_configs();
@@ -254,17 +256,28 @@ int main() {
   ext_row("hop-by-hop ext + upstream normalizer", normalized);
   std::printf("%s\n", ext_table.to_markdown().c_str());
 
-  bool shape = stealthy_accurate_evaded == stealthy_cells &&
-               overt_accurate == overt_cells && overt_logged > 0;
-  bool family_shape = v4only_asymmetries >= 1 && dual_asymmetries == 0 &&
-                      dual_blocked_cells == 2 * fam_techniques.size();
-  bool ext_shape = plain.rsts_injected > 0 && plain.blind_passes == 0 &&
-                   evading.rsts_injected == 0 && evading.blind_passes > 0 &&
-                   normalized.rsts_injected > 0;
-  std::printf("paper-shape check: %s (matrix %s, family gap %s, "
-              "ext-header channel %s)\n",
-              shape && family_shape && ext_shape ? "PASS" : "FAIL",
-              shape ? "ok" : "FAIL", family_shape ? "ok" : "FAIL",
-              ext_shape ? "ok" : "FAIL");
-  return shape && family_shape && ext_shape ? 0 : 1;
+  // E2: stealthy cells accurate and evasive, overt cells accurate but
+  // logged.
+  metrics.invariant("stealthy_cells_missed",
+                    stealthy_cells - stealthy_accurate_evaded);
+  metrics.invariant("overt_cells_inaccurate", overt_cells - overt_accurate);
+  metrics.anchor("overt_cells_logged", overt_logged, "cells", 1,
+                 bench::kUnbounded);
+  // E25 family gap: v4-only rules leak over v6, dual-stack rules close it.
+  metrics.anchor("v4_only_asymmetries", v4only_asymmetries, "techniques", 1,
+                 bench::kUnbounded);
+  metrics.invariant("dual_stack_asymmetries", dual_asymmetries);
+  metrics.invariant("dual_stack_blocked_cells", dual_blocked_cells,
+                    2 * fam_techniques.size(), "cells");
+  // E25 ext-header channel: caught plain, evaded behind the header,
+  // caught again behind the upstream normalizer.
+  metrics.anchor("plain_v6_rsts", plain.rsts_injected, "packets", 1,
+                 bench::kUnbounded);
+  metrics.invariant("plain_v6_blind_passes", plain.blind_passes);
+  metrics.invariant("ext_header_rsts", evading.rsts_injected);
+  metrics.anchor("ext_header_blind_passes", evading.blind_passes, "packets",
+                 1, bench::kUnbounded);
+  metrics.anchor("normalized_rsts", normalized.rsts_injected, "packets", 1,
+                 bench::kUnbounded);
+  return metrics.finish();
 }

@@ -11,34 +11,34 @@
 //     event schedules a successor), the classic DES queue workload and
 //     the one the netsim actually runs — every packet hop pops one
 //     event and pushes the next.
-// The gates reflect that: hold speedup >= 1 at EVERY scale, burst
-// speedup >= 1 from 10^5 pending up (below that the JSON still records
-// the delta, it just isn't gated).
+// The floors reflect that: hold speedup >= 1 at EVERY scale, burst
+// speedup >= 1 from 10^5 pending up (below that the speedup is still a
+// contrast against the baseline, just without a floor).
 // Part 2 pushes UDP datagrams through a host-router-host path with and
-// without taps and reads the packet copy counters — the forwarding hop
-// must make zero payload copies.
+// without taps: each tapped config's throughput relative to the untapped
+// one is a contrast, and the packet copy counters are invariants — the
+// forwarding hop makes zero payload copies, the retaining tap exactly one
+// per packet.
 //
-// Emits a table on stdout and a JSON report (default
-// BENCH_event_core.json, or argv[1]). `--smoke` shrinks the workload
-// for ci.sh's perf-smoke stage (fewer scales/reps; same JSON shape, so
-// tools/perf_smoke.py can diff it against the checked-in baseline).
-// Exit code gates:
-//   - wheel events/sec >= heap events/sec at every pending-count scale;
-//   - CopySite::Hop == 0 after every pipeline configuration.
+// `--smoke` shrinks the workload for ci.sh's perf stage (fewer scales and
+// packets); the contrasts it shares with the full run are compared with
+// the checked-in BENCH_event_core.json (see report.hpp).
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <queue>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/time.hpp"
 #include "netsim/topology.hpp"
 #include "obs/provenance.hpp"
 #include "packet/copy_stats.hpp"
 #include "packet/packet.hpp"
+#include "report.hpp"
 
 using namespace sm;
 using common::Duration;
@@ -149,8 +149,6 @@ double hold_workload(size_t n, uint64_t seed) {
 /// Best-of-`reps` events/sec — min-time repetition suppresses scheduler
 /// noise on small machines.
 struct QueueTiming {
-  double enqueue_eps = 0;
-  double dispatch_eps = 0;
   double total_eps = 0;
   double hold_eps = 0;
 };
@@ -161,11 +159,7 @@ QueueTiming best_of(size_t n, int reps) {
   for (int r = 0; r < reps; ++r) {
     auto [enq, dis] = time_workload<Engine>(n, 0xbe7c0 + r);
     double total = static_cast<double>(n) / (enq + dis);
-    if (total > best.total_eps) {
-      best.total_eps = total;
-      best.enqueue_eps = static_cast<double>(n) / enq;
-      best.dispatch_eps = static_cast<double>(n) / dis;
-    }
+    if (total > best.total_eps) best.total_eps = total;
   }
   int hold_reps = n >= 1'000'000 ? (reps > 2 ? 2 : reps) : reps;
   for (int r = 0; r < hold_reps; ++r) {
@@ -274,56 +268,37 @@ PipelineResult run_pipeline(const char* config, size_t packets, int reps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_event_core.json";
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke")
-      smoke = true;
-    else
-      out_path = argv[i];
-  }
+  bench::Report metrics("event_core", argc, argv);
   std::vector<size_t> scales = {1'000, 10'000, 100'000, 1'000'000};
-  if (smoke) scales = {1'000, 10'000, 100'000};
+  if (metrics.smoke()) scales = {1'000, 10'000, 100'000};
   const int reps = 3;
 
   std::printf("event-core bench: binary heap vs hierarchical timer wheel\n\n");
   std::printf("%10s %13s %13s %8s %13s %13s %8s\n", "pending",
               "burst heap", "burst wheel", "burst x", "hold heap",
               "hold wheel", "hold x");
-
-  struct ScaleRow {
-    size_t pending;
-    QueueTiming heap, wheel;
-    double burst_speedup;
-    double hold_speedup;
-  };
-  std::vector<ScaleRow> rows;
-  bool queue_pass = true;
   for (size_t n : scales) {
-    ScaleRow row;
-    row.pending = n;
-    row.heap = best_of<HeapEngine>(n, reps);
-    row.wheel = best_of<netsim::Engine>(n, reps);
-    row.burst_speedup = row.wheel.total_eps / row.heap.total_eps;
-    row.hold_speedup = row.wheel.hold_eps / row.heap.hold_eps;
-    if (row.hold_speedup < 1.0) queue_pass = false;
-    if (n >= 100'000 && row.burst_speedup < 1.0) queue_pass = false;
+    QueueTiming heap = best_of<HeapEngine>(n, reps);
+    QueueTiming wheel = best_of<netsim::Engine>(n, reps);
+    double burst_speedup = wheel.total_eps / heap.total_eps;
+    double hold_speedup = wheel.hold_eps / heap.hold_eps;
     std::printf("%10zu %13.0f %13.0f %7.2fx %13.0f %13.0f %7.2fx\n", n,
-                row.heap.total_eps, row.wheel.total_eps, row.burst_speedup,
-                row.heap.hold_eps, row.wheel.hold_eps, row.hold_speedup);
-    rows.push_back(row);
+                heap.total_eps, wheel.total_eps, burst_speedup,
+                heap.hold_eps, wheel.hold_eps, hold_speedup);
+    const std::string at = common::format("@%zu", n);
+    metrics.contrast("burst_speedup" + at, burst_speedup,
+                     n >= 100'000 ? std::optional<double>(1.0) : std::nullopt);
+    metrics.contrast("hold_speedup" + at, hold_speedup, 1.0);
   }
 
   std::printf("\npacket pipeline: host -> router -> host, 512B UDP\n\n");
   std::printf("%12s %14s %12s %14s\n", "taps", "pkts/s", "hop copies",
               "total copies");
-  const size_t pipeline_packets = smoke ? 5'000 : 20'000;
+  const size_t pipeline_packets = metrics.smoke() ? 5'000 : 20'000;
   CountTap count_tap;
   RetainTap retain_tap;
   // Provenance enabled on a tapless path: every hop records PacketSent/
   // Forward events into the ring, the worst case for the graph itself.
-  // The "none" config doubles as the disabled-path measurement — no
-  // graph attached is exactly how every non-provenance run executes.
   obs::ProvenanceGraph prov_graph(1 << 16);
   std::vector<PipelineResult> pipe;
   pipe.push_back(run_pipeline("none", pipeline_packets, reps, nullptr));
@@ -333,57 +308,23 @@ int main(int argc, char** argv) {
                               nullptr, [&] { retain_tap.kept.clear(); }));
   pipe.push_back(
       run_pipeline("prov", pipeline_packets, reps, nullptr, &prov_graph));
-  bool copies_pass = true;
-  for (const auto& p : pipe) {
-    if (p.hop_copies != 0) copies_pass = false;
+  uint64_t hop_copies = 0;
+  for (size_t i = 0; i < pipe.size(); ++i) {
+    const PipelineResult& p = pipe[i];
+    hop_copies += p.hop_copies;
     std::printf("%12s %14.0f %12llu %14llu\n", p.config, p.pps,
                 static_cast<unsigned long long>(p.hop_copies),
                 static_cast<unsigned long long>(p.total_copies));
+    // Each tapped config's throughput relative to the untapped path.
+    if (i > 0)
+      metrics.contrast(std::string("pipeline_rel@") + p.config,
+                       p.pps / pipe[0].pps, std::nullopt);
   }
-  // The retain config must have counted exactly one Pcap copy per packet
-  // — the counter is live, not decorative.
-  if (pipe[2].total_copies != pipeline_packets) copies_pass = false;
-
-  bool pass = queue_pass && copies_pass;
-  std::printf("\nwheel >= heap (hold at every scale, burst from 1e5): %s\n",
-              queue_pass ? "PASS" : "FAIL");
-  std::printf("zero hop copies in every config: %s\n",
-              copies_pass ? "PASS" : "FAIL");
-
-  FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "{\"bench\":\"event_core\",\"event_queue\":[");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "%s{\"pending\":%zu,\"burst_heap_eps\":%.0f,"
-                 "\"burst_wheel_eps\":%.0f,\"burst_speedup\":%.3f,"
-                 "\"hold_heap_eps\":%.0f,\"hold_wheel_eps\":%.0f,"
-                 "\"hold_speedup\":%.3f,\"wheel_enqueue_eps\":%.0f,"
-                 "\"wheel_dispatch_eps\":%.0f}",
-                 i ? "," : "", r.pending, r.heap.total_eps,
-                 r.wheel.total_eps, r.burst_speedup, r.heap.hold_eps,
-                 r.wheel.hold_eps, r.hold_speedup, r.wheel.enqueue_eps,
-                 r.wheel.dispatch_eps);
-  }
-  std::fprintf(f, "],\"pipeline\":[");
-  for (size_t i = 0; i < pipe.size(); ++i) {
-    std::fprintf(f,
-                 "%s{\"taps\":\"%s\",\"pps\":%.0f,\"hop_copies\":%llu,"
-                 "\"total_copies\":%llu}",
-                 i ? "," : "", pipe[i].config, pipe[i].pps,
-                 static_cast<unsigned long long>(pipe[i].hop_copies),
-                 static_cast<unsigned long long>(pipe[i].total_copies));
-  }
-  std::fprintf(f, "],\"hop_copies\":%llu,\"pass\":%s}\n",
-               static_cast<unsigned long long>(
-                   pipe[0].hop_copies + pipe[1].hop_copies +
-                   pipe[2].hop_copies),
-               pass ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return pass ? 0 : 1;
+  metrics.invariant("hop_copies", hop_copies, 0, "copies");
+  // The retain config counts exactly one Pcap copy per packet — the
+  // counter is live, not decorative.
+  metrics.invariant("retain_copies", pipe[2].total_copies, pipeline_packets,
+                    "copies");
+  std::printf("\n");
+  return metrics.finish();
 }

@@ -13,12 +13,14 @@
 #include "common/stats.hpp"
 #include "core/probe.hpp"
 #include "core/spam.hpp"
+#include "report.hpp"
 #include "spamfilter/corpus.hpp"
 #include "spamfilter/scorer.hpp"
 
 using namespace sm;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("fig2_spam_scores", argc, argv);
   constexpr int kN = 100;
   spamfilter::Scorer scorer;
   common::EmpiricalCdf measurement_cdf;
@@ -71,9 +73,10 @@ int main() {
   std::printf("measurement CDF series (x = score, y = F(x)):\n%s\n",
               measurement_cdf.to_table(20).c_str());
 
-  bool shape_holds = measurement_cdf.quantile(0.10) >= 50.0 &&
-                     ham_cdf.quantile(0.90) < 50.0;
-  std::printf("paper-shape check (measurements ~100, ham low): %s\n",
-              shape_holds ? "PASS" : "FAIL");
-  return shape_holds ? 0 : 1;
+  // Paper shape: measurements ~100 (spam), ham low.
+  metrics.anchor("measurement_score_p10", measurement_cdf.quantile(0.10),
+                 "score", 50.0, bench::kUnbounded);
+  metrics.anchor("ham_score_p90", ham_cdf.quantile(0.90), "score",
+                 -bench::kUnbounded, bench::below(50.0), bench::Better::Lower);
+  return metrics.finish();
 }

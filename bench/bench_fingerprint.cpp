@@ -15,6 +15,7 @@
 #include "core/probe.hpp"
 #include "core/risk.hpp"
 #include "core/scan.hpp"
+#include "report.hpp"
 
 using namespace sm;
 
@@ -45,7 +46,8 @@ Cell run(bool fingerprint_rules, bool randomized_probe) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("fingerprint", argc, argv);
   std::printf("E15 — fingerprinting the scanner's implementation "
               "artifacts (paper §3.2.1 caveat)\n\n");
 
@@ -69,10 +71,12 @@ int main() {
   std::printf("reading: under community rules (the paper's assumption) "
               "both implementations evade;\nthe bespoke rule flags only "
               "the naive implementation — evading fingerprinting is an "
-              "implementation-hygiene arms race, not a free property.\n");
-  bool shape = naive_community.evaded && hard_community.evaded &&
-               !naive_fp.evaded && hard_fp.evaded &&
-               naive_fp.verdict == core::Verdict::BlockedTimeout;
-  std::printf("\npaper-shape check: %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+              "implementation-hygiene arms race, not a free property.\n\n");
+  metrics.require("naive_evades_community_rules", naive_community.evaded);
+  metrics.require("hardened_evades_community_rules", hard_community.evaded);
+  metrics.require("naive_flagged_by_fingerprint_rule", !naive_fp.evaded);
+  metrics.require("hardened_evades_fingerprint_rule", hard_fp.evaded);
+  metrics.require("naive_still_detects_blocking",
+                  naive_fp.verdict == core::Verdict::BlockedTimeout);
+  return metrics.finish();
 }

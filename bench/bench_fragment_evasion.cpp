@@ -14,6 +14,7 @@
 #include "core/probe.hpp"
 #include "core/testbed.hpp"
 #include "packet/fragment.hpp"
+#include "report.hpp"
 
 using namespace sm;
 
@@ -48,21 +49,21 @@ Outcome run(size_t mtu, bool defrag) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("fragment_evasion", argc, argv);
   std::printf("E12 — keyword visibility under IP fragmentation "
               "(keyword \"falun\" at TCP payload offset 13)\n\n");
 
   analysis::Table table({"MTU (bytes)", "fragments", "fragment-blind "
                          "censor caught it", "defragmenting censor "
                          "caught it"});
-  bool evasion_exists = false, defrag_always_catches = true;
-  bool unfragmented_caught = false;
+  size_t blind_evaded = 0, defrag_missed = 0, unfragmented_caught = 0;
   for (size_t mtu : {1500, 120, 80, 56, 48}) {
     Outcome blind = run(mtu, false);
     Outcome defrag = run(mtu, true);
-    if (!blind.caught && blind.fragments > 1) evasion_exists = true;
-    if (!defrag.caught) defrag_always_catches = false;
-    if (blind.fragments == 1 && blind.caught) unfragmented_caught = true;
+    if (!blind.caught && blind.fragments > 1) ++blind_evaded;
+    if (!defrag.caught) ++defrag_missed;
+    if (blind.fragments == 1 && blind.caught) ++unfragmented_caught;
     table.add_row({analysis::Table::num(uint64_t(mtu)),
                    analysis::Table::num(uint64_t(blind.fragments)),
                    blind.caught ? "yes" : "NO (evaded)",
@@ -71,9 +72,11 @@ int main() {
   std::printf("%s\n", table.to_markdown().c_str());
   std::printf("reading: once the keyword straddles a fragment boundary, a "
               "fragment-blind censor goes dark;\nvirtual defragmentation "
-              "restores detection at every MTU.\n");
-  bool shape = evasion_exists && defrag_always_catches &&
-               unfragmented_caught;
-  std::printf("\npaper-shape check: %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+              "restores detection at every MTU.\n\n");
+  metrics.anchor("mtus_evading_blind_censor", blind_evaded, "mtus", 1,
+                 bench::kUnbounded);
+  metrics.invariant("mtus_missed_by_defrag", defrag_missed, 0, "mtus");
+  metrics.anchor("unfragmented_mtus_caught", unfragmented_caught, "mtus", 1,
+                 bench::kUnbounded);
+  return metrics.finish();
 }

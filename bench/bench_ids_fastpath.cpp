@@ -3,21 +3,22 @@
 // fast-pattern prefilter, and the Auto cutover (which must match or beat
 // the best fixed mode at every scale), at 10/100/1000-rule ruleset sizes.
 // Auto exists because the fastpath bookkeeping was a net loss on tiny
-// rulesets (0.92x at 10 rules); this bench is the calibration + the
-// regression gate for EngineOptions::auto_linear_max_rules.
-//
-// Emits a human-readable table on stdout and a JSON report (default
-// BENCH_ids_fastpath.json, or argv[1]) so the perf trajectory is tracked
-// across PRs.
+// rulesets (0.92x at 10 rules); this bench calibrates
+// ids::kAutoLinearMaxRules and gates the cutover's speedups as contrasts
+// (see report.hpp).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "ids/engine.hpp"
 #include "packet/packet.hpp"
+#include "report.hpp"
 
 using namespace sm;
 using common::Ipv4Address;
@@ -110,7 +111,6 @@ std::vector<PacketBox> make_packets(size_t n, Rng& rng) {
 
 struct RunResult {
   double pps = 0;
-  uint64_t alerts = 0;
   ids::Engine::Stats stats;
 };
 
@@ -133,34 +133,20 @@ RunResult run_engine(ids::Engine& engine,
   } while (elapsed < min_seconds);
   r.pps = static_cast<double>(processed) / elapsed;
   r.stats = engine.stats();
-  r.alerts = engine.stats().alerts;
   return r;
 }
-
-struct SizeResult {
-  size_t rules;
-  RunResult linear;
-  RunResult fast;
-  RunResult auto_r;
-  double speedup;       // fastpath vs linear
-  double auto_speedup;  // auto vs linear (>= 1.0 is the regression gate)
-  const char* auto_path;
-};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_ids_fastpath.json";
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke")
-      smoke = true;
-    else
-      out_path = argv[i];
-  }
-  // Smoke mode (ci.sh perf stage) trades timing stability for speed;
-  // tools/perf_smoke.py compensates with a generous regression margin.
-  const double min_seconds = smoke ? 0.1 : 0.4;
+  bench::Report metrics("ids_fastpath", argc, argv);
+  // Smoke mode (ci.sh perf stage) trades timing stability for speed.
+  // The cutover tolerance 0.95 allows for the few percent two timed runs
+  // of the same engine jitter on a busy machine; smoke mode's 4x-shorter
+  // windows cannot resolve 5%, so it relaxes to 0.8 there, and the
+  // baseline comparison catches real drift.
+  const double min_seconds = metrics.smoke() ? 0.1 : 0.4;
+  const double tol = metrics.smoke() ? 0.8 : 0.95;
   const size_t sizes[] = {10, 100, 1000};
 
   std::printf("IDS fast-path bench: linear scan vs port-group index + "
@@ -168,7 +154,7 @@ int main(int argc, char** argv) {
   std::printf("%8s %16s %16s %16s %9s %9s %9s\n", "rules", "linear pps",
               "fastpath pps", "auto pps", "speedup", "auto x", "auto=");
 
-  std::vector<SizeResult> results;
+  size_t diverged = 0;
   for (size_t n : sizes) {
     Rng rule_rng(42);
     Rng pkt_rng(1337);
@@ -181,88 +167,41 @@ int main(int argc, char** argv) {
                      ids::EngineOptions{.mode = ids::MatchMode::Fastpath});
     ids::Engine auto_engine(rules, ids::EngineOptions{});  // Auto default
 
-    SizeResult sr;
-    sr.rules = n;
-    sr.linear = run_engine(linear, packets, min_seconds);
-    sr.fast = run_engine(fast, packets, min_seconds);
-    sr.auto_r = run_engine(auto_engine, packets, min_seconds);
-    sr.speedup = sr.fast.pps / sr.linear.pps;
-    sr.auto_speedup = sr.auto_r.pps / sr.linear.pps;
-    sr.auto_path = auto_engine.fastpath_active() ? "fastpath" : "linear";
+    RunResult lin = run_engine(linear, packets, min_seconds);
+    RunResult fp = run_engine(fast, packets, min_seconds);
+    RunResult au = run_engine(auto_engine, packets, min_seconds);
+    double speedup = fp.pps / lin.pps;
+    double auto_speedup = au.pps / lin.pps;
 
-    // Verdict sanity: both engines must alert at the same per-packet
-    // rate (stats are cumulative over different iteration counts).
-    double lin_rate = static_cast<double>(sr.linear.stats.alerts) /
-                      static_cast<double>(sr.linear.stats.packets);
-    double fast_rate = static_cast<double>(sr.fast.stats.alerts) /
-                       static_cast<double>(sr.fast.stats.packets);
-    double auto_rate = static_cast<double>(sr.auto_r.stats.alerts) /
-                       static_cast<double>(sr.auto_r.stats.packets);
-    if (lin_rate != fast_rate || lin_rate != auto_rate) {
+    // Verdict sanity: all engines must alert at the same per-packet rate
+    // (stats are cumulative over different iteration counts).
+    auto rate = [](const RunResult& r) {
+      return static_cast<double>(r.stats.alerts) /
+             static_cast<double>(r.stats.packets);
+    };
+    if (rate(lin) != rate(fp) || rate(lin) != rate(au)) {
       std::fprintf(stderr,
-                   "FAIL: alert rate diverged at %zu rules "
+                   "alert rate diverged at %zu rules "
                    "(linear %.6f vs fastpath %.6f vs auto %.6f)\n",
-                   n, lin_rate, fast_rate, auto_rate);
-      return 1;
+                   n, rate(lin), rate(fp), rate(au));
+      ++diverged;
     }
 
-    std::printf("%8zu %16.0f %16.0f %16.0f %8.1fx %8.2fx %9s\n", n,
-                sr.linear.pps, sr.fast.pps, sr.auto_r.pps, sr.speedup,
-                sr.auto_speedup, sr.auto_path);
-    results.push_back(sr);
+    std::printf("%8zu %16.0f %16.0f %16.0f %8.1fx %8.2fx %9s\n", n, lin.pps,
+                fp.pps, au.pps, speedup, auto_speedup,
+                auto_engine.fastpath_active() ? "fastpath" : "linear");
+    const std::string at = common::format("@%zu", n);
+    // The fastpath pays off at scale: >= 5x at 1000 rules.
+    metrics.contrast("speedup" + at, speedup,
+                     n == 1000 ? std::optional<double>(5.0) : std::nullopt);
+    // Auto is never slower than linear on the small ruleset it falls back
+    // for, and within noise of the best fixed mode at every scale.
+    metrics.contrast("auto_speedup" + at, auto_speedup,
+                     n == 10 ? std::optional<double>(tol) : std::nullopt);
+    metrics.contrast("auto_vs_best" + at, au.pps / std::max(lin.pps, fp.pps),
+                     tol);
   }
-
-  bool pass = results.back().speedup >= 5.0;
-  std::printf("\n1000-rule speedup %.1fx (target >= 5x): %s\n",
-              results.back().speedup, pass ? "PASS" : "FAIL");
-  // The auto-cutover regression gates: never slower than linear on the
-  // small ruleset it falls back for, and within noise of the fastpath
-  // at scale. Tolerance 0.95: two timed runs of the same engine jitter
-  // a few percent on a busy machine. Smoke mode's 4x-shorter windows
-  // cannot resolve 5%, so it gates at 0.8 — perf_smoke.py's
-  // baseline comparison catches real drift.
-  const double tol = smoke ? 0.8 : 0.95;
-  if (results.front().auto_speedup < tol) {
-    std::printf("auto %.2fx at %zu rules (target >= ~1x): FAIL\n",
-                results.front().auto_speedup, results.front().rules);
-    pass = false;
-  }
-  for (const auto& sr : results) {
-    double best = sr.fast.pps > sr.linear.pps ? sr.fast.pps : sr.linear.pps;
-    if (sr.auto_r.pps < best * tol) {
-      std::printf("auto %.0f pps < best fixed mode %.0f pps at %zu rules: "
-                  "FAIL\n",
-                  sr.auto_r.pps, best, sr.rules);
-      pass = false;
-    }
-  }
-
-  FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "{\"bench\":\"ids_fastpath\",\"packet_count\":512,"
-                  "\"results\":[");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const auto& sr = results[i];
-    std::fprintf(
-        f,
-        "%s{\"rules\":%zu,\"linear_pps\":%.0f,\"fastpath_pps\":%.0f,"
-        "\"auto_pps\":%.0f,\"speedup\":%.2f,\"auto_speedup\":%.2f,"
-        "\"auto_path\":\"%s\",\"fastpath_candidates\":%llu,"
-        "\"prefilter_hits\":%llu,\"prefilter_skips\":%llu,"
-        "\"payload_scans\":%llu,\"stream_scans\":%llu}",
-        i ? "," : "", sr.rules, sr.linear.pps, sr.fast.pps, sr.auto_r.pps,
-        sr.speedup, sr.auto_speedup, sr.auto_path,
-        static_cast<unsigned long long>(sr.fast.stats.fastpath_candidates),
-        static_cast<unsigned long long>(sr.fast.stats.prefilter_hits),
-        static_cast<unsigned long long>(sr.fast.stats.prefilter_skips),
-        static_cast<unsigned long long>(sr.fast.stats.payload_scans),
-        static_cast<unsigned long long>(sr.fast.stats.stream_scans));
-  }
-  std::fprintf(f, "],\"pass\":%s}\n", pass ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return pass ? 0 : 1;
+  metrics.invariant("alert_rate_divergences", diverged, 0, "rulesets");
+  std::printf("\n");
+  return metrics.finish();
 }

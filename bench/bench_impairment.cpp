@@ -23,9 +23,8 @@
 // finite retry ladder it is provably indistinguishable from a dropping
 // censor (see DESIGN.md §9).
 //
-// Emits a table per part on stdout and a JSON report (argv[1], default
-// BENCH_impairment.json) with the full false-verdict rate curve.
-// Exit code: 0 only if all three gates hold.
+// Emits a table per part on stdout (part B's is the false-verdict curve)
+// and gates each part through bench::Report.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "analysis/report.hpp"
 #include "bench_util.hpp"
 #include "core/ping.hpp"
+#include "report.hpp"
 
 using namespace sm;
 using bench::NamedFactory;
@@ -121,18 +121,13 @@ std::vector<NamedFactory> retry_techniques(bool blocked_target) {
 }
 
 struct CellTally {
-  size_t trials = 0, open = 0, blocked = 0, inconclusive = 0;
-  double false_blocked_rate() const {
-    return trials ? static_cast<double>(blocked) /
-                        static_cast<double>(trials)
-                  : 0.0;
-  }
+  size_t open = 0, blocked = 0, inconclusive = 0;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = argc > 1 ? argv[1] : "BENCH_impairment.json";
+  bench::Report metrics("impairment", argc, argv);
   std::printf("E19 — verdict robustness under impairment "
               "(loss x technique, ceiling %.0f%%)\n\n",
               kCeilingLoss * 100);
@@ -169,10 +164,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  bool part_a_ok = a_cells > 0 && a_hits == a_cells;
-  std::printf("part A: E2 expectations at 0%% loss: %zu/%zu cells match "
-              "-> %s\n\n",
-              a_hits, a_cells, part_a_ok ? "PASS" : "FAIL");
+  std::printf("\n");
 
   // --- Part B: false-verdict curve on an uncensored lossy path ---------
   auto levels = loss_levels();
@@ -201,7 +193,6 @@ int main(int argc, char** argv) {
     for (size_t t = 0; t < open_techniques.size(); ++t) {
       for (size_t k = 0; k < kTrialsPerCell; ++k, ++idx) {
         CellTally& cell = curve[l][t];
-        ++cell.trials;
         switch (b_runs[idx].report.confidence.conclusion) {
           case core::Conclusion::Open: ++cell.open; break;
           case core::Conclusion::Blocked:
@@ -231,13 +222,9 @@ int main(int argc, char** argv) {
       table.add_row(row);
     }
     std::printf("part B: conclusions per cell (open/blocked/inconclusive, "
-                "%zu trials each), uncensored path:\n%s\n",
+                "%zu trials each), uncensored path:\n%s\n\n",
                 kTrialsPerCell, table.to_markdown().c_str());
   }
-  bool part_b_ok = false_blocked_total == 0;
-  std::printf("part B: false \"blocked\" conclusions up to the ceiling: "
-              "%zu -> %s\n\n",
-              false_blocked_total, part_b_ok ? "PASS" : "FAIL");
 
   // --- Part C: real dropping at ceiling loss is still detected ---------
   auto blocked_techniques = retry_techniques(/*blocked_target=*/true);
@@ -270,56 +257,19 @@ int main(int argc, char** argv) {
       default: break;
     }
   }
-  bool part_c_ok = c_open == 0 && c_blocked == c_runs.size();
-  std::printf("part C: null-route at %.0f%% loss: %zu/%zu concluded "
-              "Blocked, %zu false Open -> %s\n\n",
-              kCeilingLoss * 100, c_blocked, c_runs.size(), c_open,
-              part_c_ok ? "PASS" : "FAIL");
+  std::printf("\n");
 
-  // --- JSON report ------------------------------------------------------
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fprintf(f,
-                 "{\n  \"bench\": \"impairment\",\n"
-                 "  \"ceiling_loss_rate\": %.2f,\n"
-                 "  \"trials_per_cell\": %zu,\n"
-                 "  \"part_a_matrix_cells\": %zu,\n"
-                 "  \"part_a_matrix_ok\": %s,\n",
-                 kCeilingLoss, kTrialsPerCell, a_cells,
-                 part_a_ok ? "true" : "false");
-    std::fprintf(f, "  \"false_verdict_curve\": [\n");
-    bool first = true;
-    for (size_t l = 0; l < levels.size(); ++l) {
-      for (size_t t = 0; t < open_techniques.size(); ++t) {
-        const CellTally& c = curve[l][t];
-        std::fprintf(f,
-                     "%s    {\"level\": \"%s\", \"iid_loss\": %.2f, "
-                     "\"burst\": %s, \"technique\": \"%s\", "
-                     "\"trials\": %zu, \"open\": %zu, \"blocked\": %zu, "
-                     "\"inconclusive\": %zu, "
-                     "\"false_blocked_rate\": %.4f}",
-                     first ? "" : ",\n", levels[l].name.c_str(),
-                     levels[l].iid, levels[l].burst ? "true" : "false",
-                     open_techniques[t].name.c_str(), c.trials, c.open,
-                     c.blocked, c.inconclusive, c.false_blocked_rate());
-        first = false;
-      }
-    }
-    std::fprintf(f,
-                 "\n  ],\n"
-                 "  \"false_blocked_total\": %zu,\n"
-                 "  \"part_c_trials\": %zu,\n"
-                 "  \"part_c_blocked\": %zu,\n"
-                 "  \"part_c_false_open\": %zu,\n"
-                 "  \"pass\": %s\n}\n",
-                 false_blocked_total, c_runs.size(), c_blocked, c_open,
-                 (part_a_ok && part_b_ok && part_c_ok) ? "true" : "false");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
-  } else {
-    std::fprintf(stderr, "!!! cannot write %s\n", json_path);
-  }
-
-  bool pass = part_a_ok && part_b_ok && part_c_ok;
-  std::printf("E19 gate: %s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  // The E19 gate: part A reproduces E2 at 0% loss, part B concludes no
+  // false Blocked up to the ceiling, part C still concludes Blocked on
+  // every null-routed trial at the ceiling.
+  metrics.anchor("part_a_cells", a_cells, "cells", 1, bench::kUnbounded);
+  metrics.invariant("part_a_missed_cells", a_cells - a_hits, 0, "cells");
+  metrics.invariant("part_b_false_blocked", false_blocked_total, 0, "trials");
+  metrics.invariant("part_c_false_open", c_open, 0, "trials");
+  metrics.invariant("part_c_not_blocked", c_runs.size() - c_blocked, 0,
+                    "trials");
+  int status = metrics.finish();
+  if (status != 2) std::printf("wrote %s\n", metrics.out_path().c_str());
+  return status;
 }
+

@@ -16,10 +16,12 @@
 #include "analysis/report.hpp"
 #include "core/background.hpp"
 #include "core/testbed.hpp"
+#include "report.hpp"
 
 using namespace sm;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("mvr_pipeline", argc, argv);
   std::printf("E4 — MVR pipeline and retention windows (paper §2.1)\n\n");
 
   // --- Part 1: packet-level volume reduction on a realistic mix ---
@@ -93,10 +95,15 @@ int main() {
   }
   std::printf("%s\n", occupancy.to_markdown().c_str());
 
-  bool shape = discard > 0.15 && retained < 0.15 &&
-               content.bytes() == 3ull << 30 &&
-               metadata.bytes() == 30'000'000ull;
-  std::printf("paper-shape check (significant discard, ~7.5%% content "
-              "retention, 3d/30d plateaus): %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  // Paper shape: significant discard, ~7.5% content retention, 3 d / 30 d
+  // plateaus.
+  metrics.anchor("discard_share", discard, "fraction", bench::above(0.15),
+                 bench::kUnbounded);
+  metrics.anchor("retained_fraction", retained, "fraction",
+                 -bench::kUnbounded, bench::below(0.15), bench::Better::Lower);
+  metrics.invariant("content_store_bytes", content.bytes(), 3ull << 30,
+                    "bytes");
+  metrics.invariant("metadata_store_records", metadata.bytes(), 30'000'000,
+                    "records");
+  return metrics.finish();
 }

@@ -15,6 +15,7 @@
 #include "analysis/report.hpp"
 #include "core/probe.hpp"
 #include "core/testbed.hpp"
+#include "report.hpp"
 #include "spoof/cover.hpp"
 #include "surveillance/normalizer.hpp"
 
@@ -73,7 +74,8 @@ Outcome run(bool with_normalizer) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("normalizer", argc, argv);
   std::printf("E11 — TTL normalization: surveillance countermeasure vs. "
               "collateral damage (paper §4.2)\n\n");
 
@@ -97,10 +99,14 @@ int main() {
   std::printf("reading: the normalizer does defeat TTL-limited cover "
               "(RSTs appear, flows unravel),\nbut it also erases the TTL "
               "expirations traceroute depends on — the paper's predicted "
-              "cost.\n");
-  bool shape = off.spoofee_rsts == 0 && on.spoofee_rsts > 0 &&
-               off.traceroute_replies >= 1 && on.traceroute_replies == 0 &&
-               off.flows_completed == 5;
-  std::printf("\npaper-shape check: %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+              "cost.\n\n");
+  metrics.invariant("baseline_spoofee_rsts", off.spoofee_rsts);
+  metrics.anchor("normalized_spoofee_rsts", on.spoofee_rsts, "packets", 1,
+                 bench::kUnbounded);
+  metrics.anchor("baseline_traceroute_replies", off.traceroute_replies,
+                 "packets", 1, bench::kUnbounded);
+  metrics.invariant("normalized_traceroute_replies", on.traceroute_replies);
+  metrics.invariant("baseline_flows_completed", off.flows_completed, 5,
+                    "flows");
+  return metrics.finish();
 }

@@ -5,28 +5,20 @@
 // background traffic, hides overt and mimicry measurement probes inside
 // it, and measures what the surveillance MVR attributes to whom:
 //
-//   Part 1 — topology: hosts, routers, CIDR route counts, build wall
-//     time (the compiled LPM + O(1) connect work makes this seconds,
-//     not minutes).
-//   Part 2 — throughput + attribution: border-router MVR taps observe
-//     the full mix; gates require >= 1e6 forwarded packet-hops per
-//     wall-second (2.5e5 in --smoke), every overt probe attributed,
-//     no mimicry probe attributed, and the population anchors in range
-//     (p2p discard share, ~7.5% content retention, ~1.57% of users
-//     touching censored content).
+//   Part 1 — topology: hosts, ASes, routers.
+//   Part 2 — attribution: the national border MVR tap observes the full
+//     mix; every overt probe must be attributed, no mimicry probe, and
+//     the population anchors must land in range (p2p byte share, discard
+//     share, ~7.5% content retention, ~1.57% of users touching censored
+//     content). A second run must reproduce the first's stats digest.
 //   Part 3 — determinism: R replica simulations through
 //     campaign::run_jobs at 1 and 4 threads; the concatenated replica
 //     JSONL must be byte-identical.
 //
-// Emits a human table on stdout and a JSON report (default
-// BENCH_population.json, argv[1] to override). `--smoke` shrinks the
-// population and replica count for ci.sh's perf stage; same JSON shape,
-// so tools/perf_smoke.py can diff the self-normalized metrics against
-// the checked-in baseline. Exit code 0 iff every gate passed.
-#include <chrono>
+// `--smoke` shrinks the population and replica count for ci.sh's perf
+// stage. The anchor bands hold at both scales. Forwarding throughput
+// (hops per CPU-second) is perfbench's population workload.
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -36,6 +28,7 @@
 #include "netsim/bgtraffic.hpp"
 #include "netsim/router.hpp"
 #include "netsim/topology.hpp"
+#include "report.hpp"
 #include "surveillance/classify.hpp"
 #include "surveillance/mvr.hpp"
 
@@ -44,21 +37,6 @@ using common::Duration;
 using common::Ipv4Address;
 
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double seconds_since(clock_type::time_point start) {
-  return std::chrono::duration<double>(clock_type::now() - start).count();
-}
-
-/// Process CPU seconds. The traffic phase is single-threaded, so CPU
-/// time equals wall time minus scheduler preemption — the throughput
-/// gate uses it to stay meaningful on a loaded shared machine.
-double cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
-}
 
 uint64_t fnv1a(const std::string& s) {
   uint64_t h = 1469598103934665603ULL;
@@ -152,25 +130,12 @@ std::string run_replicas(size_t n, size_t threads) {
   return joined;
 }
 
-struct Gate {
-  int failures = 0;
-  void require(bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "GATE FAIL: %s\n", what);
-      ++failures;
-    }
-  }
-};
-
 /// Everything one topology-build + traffic run produces. The simulation
-/// is deterministic, so repeated runs are free re-measurements of the
-/// same work: wall time varies with scheduler noise, `digest` must not.
+/// is deterministic, so a repeated run must reproduce `digest`.
 struct TrafficRun {
   size_t hosts = 0, ases = 0, routers = 0;
-  double build_seconds = 0, run_seconds = 0, run_cpu_seconds = 0;
   uint64_t flows = 0, packets_emitted = 0, hops = 0;
-  uint64_t mvr_packets_seen = 0;
-  size_t recycled = 0, live_flows = 0;
+  size_t live_flows = 0;
   size_t probers = 0;
   size_t overt_hits = 0, mimic_hits = 0;
   size_t overt_censored = 0, mimic_censored = 0;
@@ -182,10 +147,8 @@ struct TrafficRun {
 TrafficRun traffic_run(bool smoke) {
   TrafficRun out;
   netsim::Network net;
-  auto t0 = clock_type::now();
   netsim::AsTopology topo =
       netsim::AsTopology::generate(net, population_config(smoke));
-  out.build_seconds = seconds_since(t0);
   out.hosts = topo.population();
   out.ases = topo.ases().size();
   for (const netsim::AsInfo& as : topo.ases()) {
@@ -219,11 +182,7 @@ TrafficRun traffic_run(bool smoke) {
         bg.launch_probe(country.first_host + (2 * i + 1) * stride, true));
   }
 
-  t0 = clock_type::now();
-  double cpu0 = cpu_seconds();
   net.run_for(traffic.window + Duration::seconds(2));
-  out.run_cpu_seconds = cpu_seconds() - cpu0;
-  out.run_seconds = seconds_since(t0);
 
   for (const netsim::AsInfo& as : topo.ases()) {
     for (const netsim::Router* r : as.routers) {
@@ -233,7 +192,6 @@ TrafficRun traffic_run(bool smoke) {
   const auto& s = bg.stats();
   out.flows = s.flows_started;
   out.packets_emitted = s.packets_emitted;
-  out.recycled = bg.flow_slots_recycled();
   out.live_flows = bg.live_flows();
 
   for (Ipv4Address a : overt_addrs) {
@@ -246,7 +204,6 @@ TrafficRun traffic_run(bool smoke) {
   }
 
   const auto& m = mvr.stats();
-  out.mvr_packets_seen = m.packets_seen;
   auto p2p_it = m.bytes_by_class.find(surveillance::TrafficClass::P2p);
   uint64_t p2p_bytes = p2p_it == m.bytes_by_class.end() ? 0 : p2p_it->second;
   out.p2p_share = m.bytes_seen ? double(p2p_bytes) / m.bytes_seen : 0;
@@ -290,43 +247,18 @@ TrafficRun traffic_run(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_population.json";
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
-      smoke = true;
-    else
-      out_path = argv[i];
-  }
+  bench::Report metrics("population", argc, argv);
+  const bool smoke = metrics.smoke();
 
-  // --- Parts 1+2: topology build, throughput, attribution --------------
-  // The deterministic simulation makes repeats free re-measurements of
-  // identical work, so wall-clock throughput is gated on the fastest of
-  // N runs — the standard way to strip scheduler noise from a shared
-  // machine. Every repeat must reproduce the first run's stats digest.
-  const int repeats = smoke ? 2 : 3;
+  // --- Parts 1+2: topology build, traffic, attribution -----------------
   TrafficRun run = traffic_run(smoke);
-  std::printf("topology: %zu hosts, %zu ASes, %zu routers in %.2fs\n",
-              run.hosts, run.ases, run.routers, run.build_seconds);
-  double best_wall = run.run_seconds;
-  double best_cpu = run.run_cpu_seconds;
-  bool repeats_identical = true;
-  for (int rep = 1; rep < repeats; ++rep) {
-    TrafficRun again = traffic_run(smoke);
-    best_wall = std::min(best_wall, again.run_seconds);
-    best_cpu = std::min(best_cpu, again.run_cpu_seconds);
-    repeats_identical = repeats_identical && again.digest == run.digest;
-  }
-
-  double pps_emitted = run.packets_emitted / best_cpu;
-  double pps_hops = run.hops / best_cpu;
-  std::printf("traffic: %llu flows, %llu packets emitted, %llu hops in "
-              "%.2fs cpu (%.2fs wall) best-of-%d -> %.0f emitted pps, "
-              "%.0f hop pps\n",
+  std::printf("topology: %zu hosts, %zu ASes, %zu routers\n", run.hosts,
+              run.ases, run.routers);
+  bool repeats_identical = traffic_run(smoke).digest == run.digest;
+  std::printf("traffic: %llu flows, %llu packets emitted, %llu hops\n",
               (unsigned long long)run.flows,
               (unsigned long long)run.packets_emitted,
-              (unsigned long long)run.hops, best_cpu, best_wall, repeats,
-              pps_emitted, pps_hops);
+              (unsigned long long)run.hops);
 
   const size_t probers = run.probers;
   double overt_rate = double(run.overt_hits) / probers;
@@ -345,79 +277,29 @@ int main(int argc, char** argv) {
   std::string j1 = run_replicas(replicas, 1);
   std::string j4 = run_replicas(replicas, 4);
   bool deterministic = (j1 == j4) && j1.rfind("error:", 0) != 0;
-  std::printf("determinism: %zu replicas, -j1 vs -j4 %s\n", replicas,
+  std::printf("determinism: %zu replicas, -j1 vs -j4 %s\n\n", replicas,
               deterministic ? "byte-identical" : "DIFFER");
 
-  // --- Gates ------------------------------------------------------------
-  Gate gate;
-  gate.require(run.hosts == (smoke ? 5040u : 99840u), "population size");
-  gate.require(pps_hops >= (smoke ? 2.5e5 : 1e6),
-               "simulated packet-hop throughput");
-  gate.require(repeats_identical, "repeated runs byte-identical");
-  gate.require(overt_rate == 1.0, "every overt probe attributed");
-  gate.require(mimic_rate == 0.0, "no mimicry probe attributed");
-  gate.require(run.mimic_censored == probers,
-               "mimicry earns the population's censored-access alert");
-  gate.require(run.censored_user_fraction > 0.008 &&
-                   run.censored_user_fraction < 0.025,
-               "censored flow fraction near the 1.57% anchor");
-  gate.require(run.observed_censored_fraction > 0.0 &&
-                   run.observed_censored_fraction < 0.10,
-               "MVR-observed censored-host fraction plausible");
-  gate.require(run.discard_share > 0.10 && run.discard_share < 0.60,
-               "MVR discard share plausible");
-  gate.require(run.retained_fraction > 0.02 && run.retained_fraction < 0.20,
-               "content retention near the 7.5% anchor");
-  gate.require(deterministic, "-j1 vs -j4 replica JSONL identical");
-  gate.require(run.live_flows == 0, "all background flows drained");
-
-  FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 2;
-  }
-  std::fprintf(f,
-               "{\"bench\":\"population\",\"smoke\":%s,"
-               "\"topology\":{\"hosts\":%zu,\"ases\":%zu,\"routers\":%zu,"
-               "\"build_seconds\":%.3f},",
-               smoke ? "true" : "false", run.hosts, run.ases, run.routers,
-               run.build_seconds);
-  std::fprintf(f,
-               "\"throughput\":{\"flows\":%llu,\"packets_emitted\":%llu,"
-               "\"packet_hops\":%llu,\"wall_seconds\":%.3f,"
-               "\"cpu_seconds\":%.3f,\"repeats\":%d,"
-               "\"emitted_pps\":%.0f,\"hop_pps\":%.0f,"
-               "\"mvr_packets_seen\":%llu,\"flow_slots_recycled\":%zu},",
-               (unsigned long long)run.flows,
-               (unsigned long long)run.packets_emitted,
-               (unsigned long long)run.hops, best_wall, best_cpu, repeats,
-               pps_emitted, pps_hops,
-               (unsigned long long)run.mvr_packets_seen, run.recycled);
-  std::fprintf(f,
-               "\"attribution\":{\"probers\":%zu,\"overt_rate\":%.4f,"
-               "\"mimicry_rate\":%.4f,\"mimicry_censored_alerts\":%zu,"
-               "\"p2p_byte_share\":%.4f,\"discard_share\":%.4f,"
-               "\"retained_fraction\":%.4f,"
-               "\"censored_user_fraction\":%.4f,"
-               "\"observed_censored_fraction\":%.4f},",
-               probers, overt_rate, mimic_rate, run.mimic_censored,
-               run.p2p_share, run.discard_share, run.retained_fraction,
-               run.censored_user_fraction, run.observed_censored_fraction);
-  std::fprintf(f,
-               "\"determinism\":{\"replicas\":%zu,"
-               "\"j1_vs_j4_identical\":%s,\"repeats_identical\":%s,"
-               "\"replica_digest\":%llu},"
-               "\"pass\":%s}\n",
-               replicas, deterministic ? "true" : "false",
-               repeats_identical ? "true" : "false",
-               (unsigned long long)fnv1a(j1),
-               gate.failures == 0 ? "true" : "false");
-  std::fclose(f);
-
-  if (gate.failures) {
-    std::fprintf(stderr, "%d gate(s) failed\n", gate.failures);
-    return 1;
-  }
-  std::printf("all gates passed -> %s\n", out_path);
-  return 0;
+  metrics.invariant("hosts", run.hosts, smoke ? 5040 : 99840, "hosts");
+  metrics.require("repeats_identical", repeats_identical);
+  metrics.invariant("overt_attribution_rate", overt_rate, 1, "fraction");
+  metrics.invariant("mimicry_attribution_rate", mimic_rate, 0, "fraction");
+  // Mimicry earns the population's censored-access alert.
+  metrics.invariant("mimicry_censored_alerts", run.mimic_censored, probers,
+                    "probers");
+  // The population anchors. Lower edges at 0.8 x the full-scale values
+  // 0.2974 / 0.3325 / 0.0711 / 0.0161 hold at both scales.
+  metrics.anchor("p2p_byte_share", run.p2p_share, "fraction", 0.8 * 0.2974,
+                 bench::kUnbounded);
+  metrics.anchor("discard_share", run.discard_share, "fraction",
+                 0.8 * 0.3325, bench::below(0.60));
+  metrics.anchor("retained_fraction", run.retained_fraction, "fraction",
+                 0.8 * 0.0711, bench::below(0.20));
+  metrics.anchor("censored_user_fraction", run.censored_user_fraction,
+                 "fraction", 0.8 * 0.0161, bench::below(0.025));
+  metrics.anchor("observed_censored_fraction", run.observed_censored_fraction,
+                 "fraction", bench::above(0.0), bench::below(0.10));
+  metrics.require("replicas_j1_vs_j4_identical", deterministic);
+  metrics.invariant("live_flows", run.live_flows, 0, "flows");
+  return metrics.finish();
 }

@@ -10,10 +10,12 @@
 
 #include "analysis/report.hpp"
 #include "bench_util.hpp"
+#include "report.hpp"
 
 using namespace sm;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("risk_ablation", argc, argv);
   std::printf("E10 — risk vs. surveillance selectivity (ablation)\n\n");
 
   // (a) Suspicion left behind by each technique, against descending
@@ -33,8 +35,7 @@ int main() {
   std::vector<bench::TechniqueRun> runs =
       bench::run_campaign(bench::technique_trials("", config, techniques));
 
-  bool stealth_survives_default = true;
-  bool overt_flagged_somewhere = false;
+  size_t stealthy_investigated = 0, overt_flagged = 0;
   for (size_t i = 0; i < techniques.size(); ++i) {
     const auto& technique = techniques[i];
     const bench::TechniqueRun& run = runs[i];
@@ -42,8 +43,8 @@ int main() {
     bool inv1 = run.risk.suspicion >= 1.0;
     bool inv01 = run.risk.suspicion >= 0.1;
     bool overt = technique.name.rfind("overt", 0) == 0;
-    if (!overt && inv10) stealth_survives_default = false;
-    if (overt && inv01) overt_flagged_somewhere = true;
+    if (!overt && inv10) ++stealthy_investigated;
+    if (overt && inv01) ++overt_flagged;
     table.add_row({technique.name,
                    analysis::Table::num(run.risk.suspicion),
                    inv10 ? "YES" : "no", inv1 ? "YES" : "no",
@@ -86,8 +87,12 @@ int main() {
               "costly analysts) every stealthy technique stays below the "
               "action threshold;\nremove the constraints and residual "
               "suspicion accumulates — the safety is conditional, exactly "
-              "as §7 warns.\n");
-  bool shape = stealth_survives_default && overt_flagged_somewhere;
-  std::printf("\npaper-shape check: %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+              "as §7 warns.\n\n");
+  // Paper shape: every stealthy technique stays below the default
+  // threshold, and some overt baseline is flagged at 0.1.
+  metrics.invariant("stealthy_investigated_at_10", stealthy_investigated, 0,
+                    "techniques");
+  metrics.anchor("overt_flagged_at_0.1", overt_flagged, "techniques", 1,
+                 bench::kUnbounded);
+  return metrics.finish();
 }

@@ -14,10 +14,12 @@
 #include "core/probe.hpp"
 #include "core/risk.hpp"
 #include "core/scan.hpp"
+#include "report.hpp"
 
 using namespace sm;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("scan_pacing", argc, argv);
   std::printf("E14 — scan pacing vs. detection (scan rule: 100 SYNs / "
               "60 s per source)\n\n");
 
@@ -27,7 +29,7 @@ int main() {
     int gap_ms;
     size_t ports;
   };
-  bool fast_flagged = false, slow_silent = false, all_accurate = true;
+  size_t fast_flagged = 0, slow_silent = 0, inaccurate = 0;
   for (Row row : {Row{2, 150}, Row{50, 150}, Row{400, 150},
                   Row{700, 150}}) {
     core::TestbedConfig cfg;
@@ -45,10 +47,9 @@ int main() {
         core::run_probe(tb, probe, common::Duration::seconds(300));
     core::RiskReport risk = core::assess_risk(tb, "scan");
 
-    if (report.verdict != core::Verdict::BlockedTimeout)
-      all_accurate = false;
-    if (row.gap_ms <= 50 && risk.noise_alerts > 0) fast_flagged = true;
-    if (row.gap_ms >= 700 && risk.noise_alerts == 0) slow_silent = true;
+    if (report.verdict != core::Verdict::BlockedTimeout) ++inaccurate;
+    if (row.gap_ms <= 50 && risk.noise_alerts > 0) ++fast_flagged;
+    if (row.gap_ms >= 700 && risk.noise_alerts == 0) ++slow_silent;
 
     table.add_row({common::format("%d ms", row.gap_ms),
                    analysis::Table::num(uint64_t(row.ports)),
@@ -64,8 +65,11 @@ int main() {
               "(noise class) — the paper's blend-into-the-background "
               "argument;\nthe paced scan is not detected at all — "
               "slower, but it never even enters the surveillance "
-              "system's logs.\n");
-  bool shape = fast_flagged && slow_silent && all_accurate;
-  std::printf("\npaper-shape check: %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+              "system's logs.\n\n");
+  metrics.anchor("fast_scans_flagged", fast_flagged, "scans", 1,
+                 bench::kUnbounded);
+  metrics.anchor("slow_scans_silent", slow_silent, "scans", 1,
+                 bench::kUnbounded);
+  metrics.invariant("scans_inaccurate", inaccurate, 0, "scans");
+  return metrics.finish();
 }

@@ -11,12 +11,14 @@
 
 #include "analysis/report.hpp"
 #include "common/stats.hpp"
+#include "report.hpp"
 #include "spoof/sav.hpp"
 
 using namespace sm;
 using namespace sm::spoof;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("spoof_feasibility", argc, argv);
   std::printf("E6 — source-address-validation feasibility "
               "(paper anchor: 77%% //24, 11%% //16)\n\n");
 
@@ -70,9 +72,10 @@ int main() {
               "spoofed cover possible)\n\n",
               pool.quantile(0.5), pool.quantile(0.75), pool.quantile(0.9));
 
-  bool shape = std::abs(total24 / kRegions - 0.77) < 0.02 &&
-               std::abs(total16 / kRegions - 0.11) < 0.02;
-  std::printf("paper-shape check (77%% / 11%% within 2pp): %s\n",
-              shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  // Paper shape: 77% / 11% within 2 pp.
+  metrics.anchor("spoof_within_24", total24 / kRegions, "fraction",
+                 bench::above(0.77 - 0.02), bench::below(0.77 + 0.02));
+  metrics.anchor("spoof_within_16", total16 / kRegions, "fraction",
+                 bench::above(0.11 - 0.02), bench::below(0.11 + 0.02));
+  return metrics.finish();
 }

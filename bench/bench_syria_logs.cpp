@@ -13,6 +13,7 @@
 #include "analysis/population.hpp"
 #include "analysis/report.hpp"
 #include "analysis/syria.hpp"
+#include "report.hpp"
 
 using namespace sm;
 using namespace sm::analysis;
@@ -46,7 +47,8 @@ Result run(size_t users, size_t sites, size_t censored_sites,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report metrics("syria_logs", argc, argv);
   std::printf("E5 — fraction of population touching censored content in a "
               "2-day log (paper anchor: 1.57%%)\n\n");
 
@@ -85,10 +87,10 @@ int main() {
               calibrated * 100.0);
   std::printf("reading: even at ~1.5%%, that is %d people per 10k users — "
               "no analyst pursues them all,\nwhich is why censored-access "
-              "alerts carry near-zero analyst weight in the MVR model.\n",
+              "alerts carry near-zero analyst weight in the MVR model.\n\n",
               int(calibrated * 10000));
-  bool shape = calibrated > 0.005 && calibrated < 0.05;
-  std::printf("\npaper-shape check (calibrated row within [0.5%%, 5%%] "
-              "bracketing 1.57%%): %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  // Paper shape: the calibrated row brackets 1.57%.
+  metrics.anchor("calibrated_user_fraction", calibrated, "fraction",
+                 bench::above(0.005), bench::below(0.05));
+  return metrics.finish();
 }

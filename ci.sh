@@ -14,13 +14,12 @@
 #   4. coverage: gcov build (-DSM_COVERAGE=ON), full ctest, then
 #      tools/coverage_report.py enforces the line-coverage floors for
 #      src/core, src/spoof, and src/obs;
-#   5. perf smoke: Release build of the tracked perf benches in reduced
-#      (--smoke) configuration, diffed against the checked-in BENCH_*
-#      baselines by tools/perf_smoke.py — a >20% throughput regression
-#      on the event core, packet pipeline, IDS match path, or the
-#      population bench's attribution contrasts fails CI,
-#      and the provenance-disabled pipeline path gets a dedicated
-#      tighter overhead gate (see --prov-overhead-max);
+#   5. perf smoke: Release build of the event-core, IDS fast-path,
+#      population and campaign-scaling benches, run with --smoke. Each
+#      gates itself through bench/report.hpp: anchors and invariants in
+#      their bands, self-normalized contrasts at their floors and at
+#      >= 0.8x the checked-in BENCH_<bench>.json. A failing bench gets
+#      one fresh retry;
 #   6. resume: the crash-safety gate — the resume-labeled checkpoint/
 #      campaign tests under ASan/UBSan, then tools/crash_harness.py
 #      kill -9s a Release 10k-trial sm-campaignd campaign at >= 20
@@ -142,47 +141,22 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "coverage" ]; then
 fi
 
 if [ "$STAGE" = "all" ] || [ "$STAGE" = "perf" ]; then
-  echo "=== stage 5: perf smoke (Release, vs checked-in baselines) ==="
+  echo "=== stage 5: perf smoke (Release, gated by bench/report.hpp) ==="
   cmake -B "$ROOT/build-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$ROOT/build-release" -j \
         --target bench_event_core bench_ids_fastpath bench_population \
         bench_campaign_scaling
   # Shared runners throttle unpredictably; one bad measurement window
-  # shouldn't fail the build. A failed gate gets one fresh re-run of the
-  # bench before it counts as a regression.
-  perf_gate() { # <bench-binary> <checked-in-baseline> <fresh-json> [smoke-args...]
-    local bin="$1" baseline="$2" fresh="$3"
-    shift 3
-    if "$bin" "$fresh" --smoke && \
-       python3 "$ROOT/tools/perf_smoke.py" "$baseline" "$fresh" "$@"
-    then
-      return 0
-    fi
-    echo "--- perf gate failed; retrying once with a fresh run ---"
-    "$bin" "$fresh" --smoke
-    python3 "$ROOT/tools/perf_smoke.py" "$baseline" "$fresh" "$@"
-  }
-  # The provenance-disabled pipeline ("none": no graph attached, the way
-  # every non-provenance run executes) is held to a 10% budget vs the
-  # checked-in baseline — wider than the 2% the code is designed to (and
-  # on a quiet machine does) meet, because absolute pps on shared
-  # runners carries machine noise the self-normalized gates don't.
-  perf_gate "$ROOT/build-release/bench/bench_event_core" \
-            "$ROOT/BENCH_event_core.json" /tmp/smoke-event-core.json \
-            --prov-overhead-max 0.10
-  perf_gate "$ROOT/build-release/bench/bench_ids_fastpath" \
-            "$ROOT/BENCH_ids_fastpath.json" /tmp/smoke-ids-fastpath.json
-  # Population bench: the smoke binary gates its own (scale-reduced)
-  # hop throughput by exit code; perf_smoke.py adds the deterministic
-  # attribution/anchor contrasts vs the checked-in full-scale baseline.
-  perf_gate "$ROOT/build-release/bench/bench_population" \
-            "$ROOT/BENCH_population.json" /tmp/smoke-population.json
-  # Campaign scaling: byte-determinism across -j/shard/backend always;
-  # the >=2x @ -j4 floors (thread pool AND process shards) gate
-  # themselves by field presence, so they engage exactly when this
-  # machine has >=4 cores and skip cleanly on smaller runners.
-  perf_gate "$ROOT/build-release/bench/bench_campaign_scaling" \
-            "$ROOT/BENCH_campaign.json" /tmp/smoke-campaign.json
+  # shouldn't fail the build, so a failed bench gets one fresh re-run
+  # before it counts. The campaign speedup floors engage only on
+  # machines with >= 4 cores.
+  for bench in event_core ids_fastpath population campaign_scaling; do
+    bin="$ROOT/build-release/bench/bench_$bench"
+    "$bin" "/tmp/smoke-$bench.json" --smoke || {
+      echo "--- bench_$bench failed; retrying once with a fresh run ---"
+      "$bin" "/tmp/smoke-$bench.json" --smoke
+    }
+  done
 fi
 
 if [ "$STAGE" = "all" ] || [ "$STAGE" = "resume" ]; then

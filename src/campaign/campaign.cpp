@@ -122,7 +122,7 @@ void execute_trial(const Trial& trial, size_t index,
 void finalize_campaign(
     CampaignResult& result,
     const std::vector<std::unique_ptr<obs::Registry>>& snapshots,
-    const CampaignOptions& options) {
+    const CampaignOptions& /*options*/) {
   // Deterministic merge, caller's thread, trial-index order. Everything
   // folded into `metrics` is a pure function of the trials' deterministic
   // content, so the output is byte-identical no matter which backend ran
@@ -209,20 +209,19 @@ void finalize_campaign(
   // k x slower than its peers is a stall candidate (livelocked probe,
   // pathological topology) that sim time alone cannot reveal.
   result.slow_trials.clear();
-  if (options.slow_trial_factor > 0 && walls.size() >= 2) {
+  if (walls.size() >= 2) {
     std::vector<double> sorted = walls;
     std::sort(sorted.begin(), sorted.end());
     double median = sorted[sorted.size() / 2];
     if (median > 0) {
       for (size_t i = 0; i < walls.size(); ++i)
-        if (walls[i] > options.slow_trial_factor * median)
+        if (walls[i] > kSlowTrialFactor * median)
           result.slow_trials.push_back(wall_index[i]);
     }
   }
   result.telemetry
       ->gauge("sm_campaign_slow_trials",
-              {{"factor",
-                common::format("%g", options.slow_trial_factor)}},
+              {{"factor", common::format("%g", kSlowTrialFactor)}},
               "trials slower than factor x median wall time")
       ->set(static_cast<double>(result.slow_trials.size()));
 }

@@ -116,11 +116,12 @@ struct CampaignOptions {
   /// Per-trial-completion heartbeat; empty = no reporting. Runs on worker
   /// threads but never concurrently with itself.
   std::function<void(const Progress&)> on_progress;
-  /// A trial is flagged slow when its wall time exceeds this multiple of
-  /// the campaign's median trial wall time (see CampaignResult::
-  /// slow_trials). <= 0 disables the check.
-  double slow_trial_factor = 4.0;
 };
+
+/// A trial is flagged slow when its wall time exceeds this multiple of
+/// the campaign's median trial wall time (see CampaignResult::
+/// slow_trials).
+inline constexpr double kSlowTrialFactor = 4.0;
 
 /// One filled slot of the result, at its trial's index.
 struct TrialResult {
@@ -168,8 +169,8 @@ struct CampaignResult {
   /// serialized by to_jsonl — wall clocks vary run to run and would
   /// break byte-identity.
   std::unique_ptr<obs::Registry> telemetry;
-  /// Indices of trials whose wall time exceeded slow_trial_factor x the
-  /// campaign median (ascending; empty when the check is disabled).
+  /// Indices of trials whose wall time exceeded kSlowTrialFactor x the
+  /// campaign median (ascending).
   std::vector<size_t> slow_trials;
 
   /// JSON Lines, one object per trial in index order —

@@ -1,4 +1,4 @@
-#include "simcheck/json.hpp"
+#include "common/json.hpp"
 
 #include <cctype>
 #include <cerrno>
@@ -8,7 +8,7 @@
 
 #include "common/strings.hpp"
 
-namespace sm::simcheck {
+namespace sm::common {
 
 Json Json::boolean(bool b) {
   Json j;
@@ -331,4 +331,4 @@ std::optional<Json> Json::parse(std::string_view text) {
   return value;
 }
 
-}  // namespace sm::simcheck
+}  // namespace sm::common

@@ -11,14 +11,12 @@ void BackgroundTraffic::schedule(common::Duration window) {
   double window_s = window.to_seconds();
   for (size_t i = 0; i < tb_.neighbors.size(); ++i) {
     netsim::Host* host = tb_.neighbors[i];
-    proto::tcp::Stack* stack = i < tb_.neighbor_stacks.size()
-                                   ? tb_.neighbor_stacks[i].get()
-                                   : nullptr;
+    proto::tcp::Stack* stack = tb_.neighbor_stacks[i].get();
 
     // Poisson arrivals for each activity type.
     for (double t = rng_.exponential(config_.web_rate); t < window_s;
          t += rng_.exponential(config_.web_rate)) {
-      if (stack) schedule_web(host, stack, common::Duration::from_seconds(t));
+      schedule_web(host, stack, common::Duration::from_seconds(t));
     }
     for (double t = rng_.exponential(config_.dns_rate); t < window_s;
          t += rng_.exponential(config_.dns_rate)) {
@@ -26,7 +24,7 @@ void BackgroundTraffic::schedule(common::Duration window) {
     }
     for (double t = rng_.exponential(config_.mail_rate); t < window_s;
          t += rng_.exponential(config_.mail_rate)) {
-      if (stack) schedule_mail(host, stack, common::Duration::from_seconds(t));
+      schedule_mail(host, stack, common::Duration::from_seconds(t));
     }
     if (rng_.chance(config_.p2p_fraction)) {
       for (double t = rng_.exponential(config_.p2p_packet_rate);

@@ -6,6 +6,9 @@ namespace sm::core {
 
 namespace {
 
+/// Per-try timeout of the shared client resolver.
+constexpr common::Duration kDnsTimeout = common::Duration::millis(2000);
+
 /// The page the blocked site serves: contains a censored keyword, so a
 /// keyword censor RSTs the response stream even when the IP is reachable.
 proto::http::Response blocked_site_page(const proto::http::Request& req) {
@@ -47,8 +50,7 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
     netsim::Host* h = net.add_host("neighbor" + std::to_string(i), a);
     net.connect(h, router, config_.client_link);
     neighbors.push_back(h);
-    if (config_.neighbors_have_stacks)
-      neighbor_stacks.push_back(std::make_unique<proto::tcp::Stack>(*h));
+    neighbor_stacks.push_back(std::make_unique<proto::tcp::Stack>(*h));
   }
 
   // --- Server side ---
@@ -87,8 +89,7 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   // --- Services ---
   client_stack = std::make_unique<proto::tcp::Stack>(*client);
   resolver = std::make_unique<proto::dns::Client>(
-      *client, addr_.dns, config_.dns_timeout,
-      static_cast<int>(config_.dns_retries));
+      *client, addr_.dns, kDnsTimeout, static_cast<int>(config_.dns_retries));
 
   web_open_stack = std::make_unique<proto::tcp::Stack>(*web_open);
   web_open_http = std::make_unique<proto::http::Server>(*web_open_stack, 80);

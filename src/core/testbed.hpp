@@ -43,11 +43,10 @@ using common::Ipv4Address;
 struct TestbedConfig {
   censor::CensorPolicy policy = censor::gfc_profile();
   surveillance::MvrConfig mvr;
-  /// Cover hosts in the client's /24 besides the client itself.
+  /// Cover hosts in the client's /24 besides the client itself. Each
+  /// has a real TCP stack, so unexpected segments draw RSTs — the §4.1
+  /// replay hazard.
   size_t neighbor_count = 20;
-  /// Give neighbors real TCP stacks (so unexpected segments draw RSTs —
-  /// the §4.1 replay hazard).
-  bool neighbors_have_stacks = true;
   /// Enforce source-address validation at the client-side router ports
   /// using the Beverly-calibrated model.
   bool enable_sav = false;
@@ -64,9 +63,9 @@ struct TestbedConfig {
   /// repeated trials see independent loss patterns.
   uint64_t netsim_seed = 0x11EB5EED;
   /// Retransmit budget for the shared client resolver: a lost UDP query
-  /// or answer is retried this many times before QueryResult times out.
+  /// or answer is retried this many times (2 s per try) before
+  /// QueryResult times out.
   size_t dns_retries = 0;
-  common::Duration dns_timeout = common::Duration::millis(2000);
   /// Shared secret for stateful mimicry ISN prediction.
   uint64_t mimicry_secret = 0xFEED5EED;
   /// Turns on the metrics layer: probes count their runs and

@@ -56,29 +56,26 @@ struct Verdict {
 /// Match-path selection. Auto (the default) picks per ruleset size: the
 /// group index + prefilter only pay off once the ruleset is large enough
 /// that a linear scan walks meaningfully more rules than the index
-/// returns — below `auto_linear_max_rules` the bookkeeping overhead made
-/// the fastpath a net loss (BENCH_ids_fastpath.json showed 0.92x at 10
-/// rules), so small rulesets run the linear scan. Both paths produce
+/// returns — at or below `kAutoLinearMaxRules` the bookkeeping overhead
+/// made the fastpath a net loss (0.92x at 10 rules in bench_ids_fastpath),
+/// so small rulesets run the linear scan. Both paths produce
 /// byte-identical verdicts, so the cutover never changes behavior.
+/// Linear forces the legacy scan (equivalence tests, debugging) and
+/// Fastpath forces the rule-group index + fast-pattern prefilter.
 enum class MatchMode : uint8_t { Auto, Linear, Fastpath };
 
-/// Construction-time knobs. `use_fastpath` selects the rule-group index +
-/// fast-pattern prefilter; turning it off restores the legacy linear scan
-/// (same verdicts, used by equivalence tests and as a debugging aid).
+/// Auto cutover: rulesets of at most this many rules run linear. The
+/// crossover sits between bench_ids_fastpath's 10- and 100-rule scales.
+inline constexpr size_t kAutoLinearMaxRules = 24;
+
+/// Construction-time knobs.
 struct EngineOptions {
-  bool use_fastpath = true;
   /// The Aho-Corasick scan costs one pass over the payload, while direct
   /// BMH evaluation of a handful of candidates skips sublinearly — so the
   /// prefilter only engages when at least this many content-rule
   /// candidates survive the port-group index. 0 forces it always on.
   size_t prefilter_min_candidates = 8;
-  /// Match-path policy; `use_fastpath = false` is equivalent to (and
-  /// kept as legacy spelling of) Linear.
   MatchMode mode = MatchMode::Auto;
-  /// Auto cutover: rulesets of at most this many rules run linear.
-  /// Calibrated by bench_ids_fastpath (crossover sits between the 10-
-  /// and 100-rule scales on the reference workload).
-  size_t auto_linear_max_rules = 24;
 };
 
 class Engine {
@@ -106,7 +103,7 @@ class Engine {
     uint64_t packets = 0;
     uint64_t alerts = 0;
     uint64_t drops = 0;
-    // Fast-path instrumentation (all zero when use_fastpath is off).
+    // Fast-path instrumentation (all zero on the linear path).
     uint64_t fastpath_candidates = 0;  // rules surviving the group index
     uint64_t prefilter_hits = 0;       // content rules whose fast pattern hit
     uint64_t prefilter_skips = 0;      // content rules skipped, no full match

@@ -81,15 +81,23 @@ std::string summarize_wire(const uint8_t* data, size_t len) {
 }
 
 ProvenanceGraph::ProvenanceGraph(size_t capacity)
-    : ring_(std::max<size_t>(1, capacity)) {}
+    : capacity_(std::max<size_t>(1, capacity)) {}
 
-ProvEvent& ProvenanceGraph::push(ProvEvent ev) {
-  if (count_ == ring_.size()) ++dropped_;
-  ProvEvent& slot = ring_[next_];
-  slot = std::move(ev);
-  next_ = (next_ + 1) % ring_.size();
-  if (count_ < ring_.size()) ++count_;
-  return slot;
+void ProvenanceGraph::push(ProvEvent ev) {
+  // The ring grows on demand, so a graph that never records owns no
+  // event storage; once full it overwrites the oldest slot.
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(ev));
+    next_ = ring_.size() % capacity_;
+    return;
+  }
+  ++dropped_;
+  ring_[next_] = std::move(ev);
+  next_ = (next_ + 1) % capacity_;
+}
+
+size_t ProvenanceGraph::oldest() const {
+  return ring_.size() < capacity_ ? 0 : next_;
 }
 
 uint64_t ProvenanceGraph::record(ProvKind kind, common::SimTime ts,
@@ -136,9 +144,8 @@ void ProvenanceGraph::append_raw(ProvEvent ev) {
 }
 
 void ProvenanceGraph::clear() {
-  for (auto& ev : ring_) ev = ProvEvent{};
+  ring_.clear();
   next_ = 0;
-  count_ = 0;
   total_ = 0;
   dropped_ = 0;
   current_cause_ = 0;
@@ -146,24 +153,20 @@ void ProvenanceGraph::clear() {
 
 std::vector<ProvEvent> ProvenanceGraph::events() const {
   std::vector<ProvEvent> out;
-  out.reserve(count_);
-  const size_t cap = ring_.size();
-  size_t start = (next_ + cap - count_) % cap;
-  for (size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start + i) % cap]);
-  }
+  out.reserve(ring_.size());
+  const size_t n = ring_.size(), start = oldest();
+  for (size_t i = 0; i < n; ++i) out.push_back(ring_[(start + i) % n]);
   return out;
 }
 
 const ProvEvent* ProvenanceGraph::find(uint64_t id) const {
   if (id == 0 || id > total_) return nullptr;
-  const size_t cap = ring_.size();
-  size_t start = (next_ + cap - count_) % cap;
+  const size_t n = ring_.size(), start = oldest();
   // Retained ids are a contiguous run ending at the newest event; scan
   // backward from the newest (append_raw graphs may hold sparse ids, so
   // position arithmetic alone is not enough).
-  for (size_t i = count_; i-- > 0;) {
-    const ProvEvent& ev = ring_[(start + i) % cap];
+  for (size_t i = n; i-- > 0;) {
+    const ProvEvent& ev = ring_[(start + i) % n];
     if (ev.id == id) return &ev;
     if (ev.id < id) return nullptr;
   }
@@ -175,7 +178,7 @@ std::vector<uint64_t> ProvenanceGraph::chain(uint64_t id) const {
   uint64_t cur = id;
   // Causes always point backward (cause < id), so the walk terminates;
   // the guard is belt-and-braces against corrupt deserialized input.
-  while (cur != 0 && out.size() <= count_) {
+  while (cur != 0 && out.size() <= ring_.size()) {
     const ProvEvent* ev = find(cur);
     if (ev == nullptr) break;
     out.push_back(cur);
@@ -193,10 +196,9 @@ uint64_t ProvenanceGraph::root_of(uint64_t id) const {
 std::string ProvenanceGraph::to_json() const {
   std::string out = "{\"events\":[";
   bool first = true;
-  const size_t cap = ring_.size();
-  size_t start = (next_ + cap - count_) % cap;
-  for (size_t i = 0; i < count_; ++i) {
-    const ProvEvent& ev = ring_[(start + i) % cap];
+  const size_t n = ring_.size(), start = oldest();
+  for (size_t i = 0; i < n; ++i) {
+    const ProvEvent& ev = ring_[(start + i) % n];
     if (!first) out += ',';
     first = false;
     out += "{\"id\":" + std::to_string(ev.id) +

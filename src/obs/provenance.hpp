@@ -102,11 +102,13 @@ class ProvenanceGraph {
   /// injections.
   uint64_t current_cause() const { return current_cause_; }
 
-  size_t size() const { return count_; }
+  size_t size() const { return ring_.size(); }
   /// Ids ever issued (== the id of the newest event).
   uint64_t total() const { return total_; }
   /// Events evicted because the ring was full.
   uint64_t dropped() const { return dropped_; }
+  /// Heap bytes the ring owns: 0 until the first event is recorded.
+  size_t bytes() const { return ring_.capacity() * sizeof(ProvEvent); }
   void clear();
 
   /// Retained events, oldest first.
@@ -130,11 +132,13 @@ class ProvenanceGraph {
 
  private:
   friend class ScopedCause;
-  ProvEvent& push(ProvEvent ev);
+  void push(ProvEvent ev);
+  /// Ring index of the oldest retained event.
+  size_t oldest() const;
 
-  std::vector<ProvEvent> ring_;
-  size_t next_ = 0;   // write position
-  size_t count_ = 0;  // valid records (<= capacity)
+  size_t capacity_;              // most events retained
+  std::vector<ProvEvent> ring_;  // grows to capacity_, then wraps
+  size_t next_ = 0;              // write position once full
   uint64_t total_ = 0;
   uint64_t dropped_ = 0;
   uint64_t current_cause_ = 0;

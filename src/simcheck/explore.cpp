@@ -30,7 +30,7 @@ ExploreResult explore(const ExploreOptions& options) {
     result.packets_checked += outcome.packets_checked;
     if (outcome.ok()) continue;
     ++result.failed_trials;
-    if (result.counterexamples.size() >= options.max_counterexamples) continue;
+    if (result.counterexamples.size() >= kMaxCounterexamples) continue;
     Counterexample ce;
     ce.trial_index = i;
     ce.seeds = outcome.seeds;
@@ -38,8 +38,8 @@ ExploreResult explore(const ExploreOptions& options) {
     ce.detail = outcome.failures.front().detail;
     ce.original = outcome.scenario;
     if (options.shrink) {
-      ce.shrunk = shrink(outcome.scenario, outcome.seeds, options.faults,
-                         ce.oracle, options.shrink_evaluations);
+      ce.shrunk =
+          shrink(outcome.scenario, outcome.seeds, options.faults, ce.oracle);
     } else {
       ce.shrunk.scenario = outcome.scenario;
       ce.shrunk.oracle = ce.oracle;

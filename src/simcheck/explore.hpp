@@ -23,11 +23,11 @@ struct ExploreOptions {
   size_t threads = 1;  // worker pool width (0 = hardware concurrency)
   Faults faults;
   bool shrink = true;
-  /// Stop shrinking after this many counterexamples (exploration itself
-  /// always runs all trials).
-  size_t max_counterexamples = 8;
-  size_t shrink_evaluations = 200;
 };
+
+/// Counterexamples kept (and shrunk) per exploration; exploration itself
+/// always runs all trials.
+inline constexpr size_t kMaxCounterexamples = 8;
 
 struct Counterexample {
   size_t trial_index = 0;

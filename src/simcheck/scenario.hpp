@@ -18,12 +18,14 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/probe.hpp"
 #include "core/testbed.hpp"
 #include "core/verdict.hpp"
-#include "simcheck/json.hpp"
 
 namespace sm::simcheck {
+
+using common::Json;
 
 /// Probe techniques the generator samples — the paper's three mimicry
 /// methods, both §4 spoofing techniques, the overt baselines, and the

@@ -139,14 +139,14 @@ const char* kDirectedRules =
     "dsize:>4; sid:8;)\n";
 
 TEST(FastpathEquivalence, DirectedRuleShapes) {
-  Engine linear =
-      Engine::from_text(kDirectedRules, {}, EngineOptions{.use_fastpath = false});
+  Engine linear = Engine::from_text(
+      kDirectedRules, {}, EngineOptions{.mode = MatchMode::Linear});
   // prefilter_min_candidates = 0 forces the Aho-Corasick scan even for
   // this small ruleset, so the directed cases exercise the prefilter.
   Engine fast = Engine::from_text(
       kDirectedRules, {},
-      EngineOptions{.use_fastpath = true, .prefilter_min_candidates = 0,
-                      .mode = MatchMode::Fastpath});
+      EngineOptions{.prefilter_min_candidates = 0,
+                    .mode = MatchMode::Fastpath});
 
   Ipv4Address c1(10, 0, 0, 1), s1(192, 0, 2, 80);
   std::vector<PacketBox> packets;
@@ -190,11 +190,11 @@ TEST(FastpathEquivalence, StreamSplitKeywordStillFires) {
       "alert tcp any any -> any 80 (msg:\"split\"; content:\"falun\"; "
       "flow:established; sid:9;)\n";
   Engine linear =
-      Engine::from_text(rules, {}, EngineOptions{.use_fastpath = false});
+      Engine::from_text(rules, {}, EngineOptions{.mode = MatchMode::Linear});
   Engine fast = Engine::from_text(
       rules, {},
-      EngineOptions{.use_fastpath = true, .prefilter_min_candidates = 0,
-                      .mode = MatchMode::Fastpath});
+      EngineOptions{.prefilter_min_candidates = 0,
+                    .mode = MatchMode::Fastpath});
 
   Ipv4Address c(10, 0, 0, 7), s(192, 0, 2, 80);
   std::vector<PacketBox> stream;
@@ -310,14 +310,14 @@ TEST(FastpathEquivalence, RandomizedSweep) {
     std::string rules = random_rules(rng, 60);
     SCOPED_TRACE("seed " + std::to_string(seed));
     Engine linear =
-        Engine::from_text(rules, {}, EngineOptions{.use_fastpath = false});
+        Engine::from_text(rules, {}, EngineOptions{.mode = MatchMode::Linear});
     // Default crossover heuristic and always-on prefilter must both be
     // equivalent to the linear scan.
-    Engine fast =
-        Engine::from_text(rules, {}, EngineOptions{.use_fastpath = true, .mode = MatchMode::Fastpath});
+    Engine fast = Engine::from_text(
+        rules, {}, EngineOptions{.mode = MatchMode::Fastpath});
     Engine forced = Engine::from_text(
         rules, {},
-        EngineOptions{.use_fastpath = true, .prefilter_min_candidates = 0,
+        EngineOptions{.prefilter_min_candidates = 0,
                       .mode = MatchMode::Fastpath});
     ASSERT_EQ(linear.rule_count(), fast.rule_count());
 
@@ -376,10 +376,10 @@ TEST(FastpathEquivalence, CorruptedTrafficMatchesLegacy) {
     std::string rules = random_rules(rng, 40);
     SCOPED_TRACE("seed " + std::to_string(seed));
     Engine linear =
-        Engine::from_text(rules, {}, EngineOptions{.use_fastpath = false});
+        Engine::from_text(rules, {}, EngineOptions{.mode = MatchMode::Linear});
     Engine fast = Engine::from_text(
         rules, {},
-        EngineOptions{.use_fastpath = true, .prefilter_min_candidates = 0,
+        EngineOptions{.prefilter_min_candidates = 0,
                       .mode = MatchMode::Fastpath});
 
     std::vector<Ipv4Address> hosts;
@@ -439,10 +439,10 @@ TEST(FastpathEquivalence, ReorderedStreamsMatchLegacy) {
     Rng rng(seed);
     SCOPED_TRACE("seed " + std::to_string(seed));
     Engine linear =
-        Engine::from_text(rules, {}, EngineOptions{.use_fastpath = false});
+        Engine::from_text(rules, {}, EngineOptions{.mode = MatchMode::Linear});
     Engine fast = Engine::from_text(
         rules, {},
-        EngineOptions{.use_fastpath = true, .prefilter_min_candidates = 0,
+        EngineOptions{.prefilter_min_candidates = 0,
                       .mode = MatchMode::Fastpath});
 
     // A batch of handshake + split-keyword streams from distinct ports.
@@ -541,10 +541,10 @@ packet::Ipv6Options random_ext_chain(Rng& rng) {
 
 TEST(FastpathEquivalence, DirectedV6RuleShapesWithExtHeaders) {
   Engine linear = Engine::from_text(kDirectedRules, {},
-                                    EngineOptions{.use_fastpath = false});
+                                    EngineOptions{.mode = MatchMode::Linear});
   Engine fast = Engine::from_text(
       kDirectedRules, {},
-      EngineOptions{.use_fastpath = true, .prefilter_min_candidates = 0,
+      EngineOptions{.prefilter_min_candidates = 0,
                     .mode = MatchMode::Fastpath});
 
   common::Ipv6Address c1 = common::map_v6(Ipv4Address(10, 0, 0, 1));
@@ -597,10 +597,10 @@ TEST(FastpathEquivalence, RandomizedDualStackSweep) {
     std::string rules = random_rules(rng, 60);
     SCOPED_TRACE("seed " + std::to_string(seed));
     Engine linear =
-        Engine::from_text(rules, {}, EngineOptions{.use_fastpath = false});
+        Engine::from_text(rules, {}, EngineOptions{.mode = MatchMode::Linear});
     Engine fast = Engine::from_text(
         rules, {},
-        EngineOptions{.use_fastpath = true, .prefilter_min_candidates = 0,
+        EngineOptions{.prefilter_min_candidates = 0,
                       .mode = MatchMode::Fastpath});
 
     std::vector<Ipv4Address> hosts;

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "core/report_json.hpp"
-#include "simcheck/json.hpp"
 
 namespace sm::core {
 namespace {
@@ -81,7 +81,7 @@ TEST(ToJson, BalancedBracesAndQuotes) {
   ProbeReport p;
   p.technique = "q\"uo\\te";
   p.detail = "newline\nhere";
-  auto doc = simcheck::Json::parse(to_json(p));
+  auto doc = common::Json::parse(to_json(p));
   ASSERT_TRUE(doc);
   EXPECT_EQ(doc->get("technique")->as_string(), p.technique);
   EXPECT_EQ(doc->get("detail")->as_string(), p.detail);

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 #include "core/probe.hpp"
 #include "core/report_json.hpp"
@@ -24,7 +25,6 @@
 #include "netsim/trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
-#include "simcheck/json.hpp"
 #include "surveillance/mvr.hpp"
 
 namespace sm {
@@ -419,8 +419,8 @@ TEST(ObservedCampaign, SameSeedSnapshotsAreByteIdentical) {
   EXPECT_EQ(json[0], json[1]);
   EXPECT_EQ(prom[0], prom[1]);
   EXPECT_EQ(trace[0], trace[1]);
-  EXPECT_TRUE(simcheck::Json::parse(json[0]));
-  EXPECT_TRUE(simcheck::Json::parse(trace[0]));
+  EXPECT_TRUE(common::Json::parse(json[0]));
+  EXPECT_TRUE(common::Json::parse(trace[0]));
   // The snapshot bridged every layer.
   EXPECT_NE(json[0].find("sm_netsim_events_executed_total"),
             std::string::npos);

@@ -26,6 +26,7 @@
 
 #include "campaign/campaign.hpp"
 #include "censor/gfc.hpp"
+#include "common/json.hpp"
 #include "core/ddos.hpp"
 #include "core/mimicry.hpp"
 #include "core/overt.hpp"
@@ -38,7 +39,6 @@
 #include "core/synprobe.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
-#include "simcheck/json.hpp"
 
 using namespace sm;
 using common::SimTime;
@@ -93,18 +93,18 @@ size_t expect_chrome_shape(const ProvenanceGraph& g) {
   const std::string json = obs::to_chrome_json(g);
   EXPECT_TRUE(std::all_of(json.begin(), json.end(),
                           [](unsigned char c) { return c >= 0x20; }));
-  auto doc = simcheck::Json::parse(json);
+  auto doc = common::Json::parse(json);
   if (!doc || !doc->get("traceEvents")) {
     ADD_FAILURE() << "Chrome export does not parse: " << json;
     return 0;
   }
-  auto ns = [](const simcheck::Json& ev, const char* key) {
+  auto ns = [](const common::Json& ev, const char* key) {
     return std::llround(ev.get(key)->as_double() * 1000);
   };
   // Events come in id order, so a probe's span precedes its attempts.
   std::map<int64_t, std::pair<int64_t, int64_t>> probes;  // tid -> span
   size_t instants = 0;
-  for (const simcheck::Json& ev : doc->get("traceEvents")->items()) {
+  for (const common::Json& ev : doc->get("traceEvents")->items()) {
     const int64_t tid = ev.get("tid")->as_int();
     if (ev.get("ph")->as_string() == "i") {
       ++instants;
@@ -193,10 +193,23 @@ TEST(ProvenanceGraph, ExportAfterWrapIsDeterministic) {
     }
     return g.to_json();
   };
-  std::string first = build();
-  EXPECT_EQ(first, build());
-  EXPECT_NE(first.find("\"dropped\":32"), std::string::npos);
-  EXPECT_NE(first.find("\"total\":40"), std::string::npos);
+  // The newest 8 of 40 events, oldest first, and the exact drop count.
+  const std::string expected =
+      R"({"events":[{"id":33,"cause":32,"t":160,"kind":"drop",)"
+      R"("what":"hop","detail":"detail"},{"id":34,"cause":33,"t":165,)"
+      R"("kind":"forward","what":"hop","detail":"detail"},{"id":35,)"
+      R"("cause":34,"t":170,"kind":"drop","what":"hop",)"
+      R"("detail":"detail"},{"id":36,"cause":35,"t":175,)"
+      R"("kind":"forward","what":"hop","detail":"detail"},{"id":37,)"
+      R"("cause":36,"t":180,"kind":"drop","what":"hop",)"
+      R"("detail":"detail"},{"id":38,"cause":37,"t":185,)"
+      R"("kind":"forward","what":"hop","detail":"detail"},{"id":39,)"
+      R"("cause":38,"t":190,"kind":"drop","what":"hop",)"
+      R"("detail":"detail"},{"id":40,"cause":39,"t":195,)"
+      R"("kind":"forward","what":"hop","detail":"detail"}],)"
+      R"("total":40,"dropped":32})";
+  EXPECT_EQ(build(), expected);
+  EXPECT_EQ(build(), expected);
 }
 
 TEST(ProvenanceGraph, AppendRawRebuildsIdenticalExport) {
@@ -322,16 +335,16 @@ TEST(ExportEscaping, ControlCharactersRoundTrip) {
     for (char c : json) {
       ASSERT_GE(static_cast<unsigned char>(c), 0x20) << json;
     }
-    ASSERT_TRUE(simcheck::Json::parse(json)) << json;
+    ASSERT_TRUE(common::Json::parse(json)) << json;
   }
-  auto metrics = simcheck::Json::parse(reg.to_json());
+  auto metrics = common::Json::parse(reg.to_json());
   EXPECT_EQ(metrics->get("metrics")->items()[0].get("labels")->get("label")
                 ->as_string(),
             nasty);
-  auto prov = simcheck::Json::parse(g.to_json());
+  auto prov = common::Json::parse(g.to_json());
   EXPECT_EQ(prov->get("events")->items()[0].get("detail")->as_string(),
             nasty);
-  auto chrome = simcheck::Json::parse(obs::to_chrome_json(g));
+  auto chrome = common::Json::parse(obs::to_chrome_json(g));
   EXPECT_EQ(chrome->get("traceEvents")->items()[0].get("args")->get("detail")
                 ->as_string(),
             nasty);
@@ -346,6 +359,8 @@ TEST(ProvenanceTestbed, DisabledByDefaultAndCostsNoEvents) {
   core::run_probe(tb, probe);
   EXPECT_EQ(tb.provenance_json(), "");
   EXPECT_EQ(tb.provenance().total(), 0u);
+  // "Off" includes construction: the ring allocates on first record.
+  EXPECT_EQ(tb.provenance().bytes(), 0u);
 }
 
 TEST(ProvenanceTestbed, VerdictCarriesEvidenceChain) {

@@ -7,10 +7,10 @@
 #include <algorithm>
 #include <string>
 
+#include "common/json.hpp"
 #include "simcheck/corpus.hpp"
 #include "simcheck/explore.hpp"
 #include "simcheck/generate.hpp"
-#include "simcheck/json.hpp"
 #include "simcheck/runner.hpp"
 #include "simcheck/scenario.hpp"
 #include "simcheck/shrink.hpp"

@@ -22,14 +22,14 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/provenance.hpp"
-#include "simcheck/json.hpp"
 
 namespace {
 
 using sm::obs::ProvEvent;
 using sm::obs::ProvenanceGraph;
-using sm::simcheck::Json;
+using sm::common::Json;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
