@@ -99,11 +99,8 @@ void execute_trial(const Trial& trial, size_t index,
     slot.wall_run = since(setup_done, run_done);
     slot.risk = core::assess_risk(tb, trial.name);
     slot.sim_elapsed = tb.net.engine().now() - common::SimTime{};
-    if (config.enable_observability && snapshot != nullptr) {
-      auto reg = std::make_unique<obs::Registry>();
-      reg->merge(tb.metrics_snapshot());
-      *snapshot = std::move(reg);
-    }
+    if (config.enable_observability && snapshot != nullptr)
+      *snapshot = tb.release_metrics();
     if (config.enable_provenance)
       slot.provenance_json = tb.provenance_json();
     slot.wall_finish = since(run_done, clock::now());
@@ -260,6 +257,7 @@ CampaignResult run(const std::vector<Trial>& trials,
   std::mutex progress_mu;  // serializes checkpoint appends + on_progress
   std::atomic<size_t> completed{result.resumed};
 
+  const auto pool_start = std::chrono::steady_clock::now();
   if (options.backend == Backend::Process) {
     run_process_shards(trials, options, pending, result, snapshots,
                        checkpointing ? &ckpt : nullptr, &completed);
@@ -288,9 +286,24 @@ CampaignResult run(const std::vector<Trial>& trials,
     };
     run_jobs(pending.size(), job, options);
   }
+  const std::chrono::duration<double> pool_wall =
+      std::chrono::steady_clock::now() - pool_start;
   ckpt.close();
 
   finalize_campaign(result, snapshots, options);
+  // The share of the pool's worker time spent outside trials: start-up,
+  // feeding, and waiting on the controller.
+  if (!pending.empty()) {
+    double busy = 0;
+    for (size_t i : pending)
+      busy += result.trials[i].wall_elapsed.to_seconds();
+    const size_t workers =
+        std::min(resolve_threads(options.threads), pending.size());
+    result.telemetry
+        ->gauge("sm_campaign_pool_idle_share", {},
+                "1 - trial wall time / (pool wall time x workers)")
+        ->set(1.0 - busy / (pool_wall.count() * double(workers)));
+  }
   return result;
 }
 

@@ -76,7 +76,8 @@ enum class Backend {
   /// the same byte-identical -j1/-jN contract as the thread pool, plus
   /// isolation: a worker that dies (crash, kill -9, _exit) fails only
   /// its own trials. ByIndex shares are static; Dynamic indices are fed
-  /// one at a time over a per-worker command pipe.
+  /// over a per-worker command pipe, a window of 4 outstanding per
+  /// worker, so a death costs at most 4 Dynamic trials.
   Process,
 };
 
@@ -165,9 +166,10 @@ struct CampaignResult {
   size_t resumed = 0;
   /// Campaign-health telemetry: per-worker trial counts and busy time,
   /// wall-clock phase profile (setup/run/finish/teardown), trial wall-time
-  /// distribution, slow-trial count. Kept OUT of `metrics` and never
-  /// serialized by to_jsonl — wall clocks vary run to run and would
-  /// break byte-identity.
+  /// distribution, slow-trial count, and (set by run() when any trial
+  /// ran) the pool's idle share, sm_campaign_pool_idle_share. Kept OUT
+  /// of `metrics` and never serialized by to_jsonl — wall clocks vary
+  /// run to run and would break byte-identity.
   std::unique_ptr<obs::Registry> telemetry;
   /// Indices of trials whose wall time exceeded kSlowTrialFactor x the
   /// campaign median (ascending).
@@ -214,7 +216,8 @@ size_t resolve_threads(size_t requested);
 /// risk, and fills `slot` (index, name, report, risk, sim time, wall
 /// phase profile; failed/error when an exception escapes). When the
 /// trial's config enables observability, `*snapshot` receives the
-/// testbed's metrics registry. Exposed so the process-shard workers and
+/// testbed's metrics registry itself (Testbed::release_metrics, no
+/// copy). Exposed so the process-shard workers and
 /// sm-campaign-worker execute exactly what the thread pool executes —
 /// byte-identity across backends reduces to this being the same code.
 void execute_trial(const Trial& trial, size_t index,

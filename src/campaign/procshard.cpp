@@ -20,6 +20,11 @@ namespace {
 constexpr size_t kFrameHeader = 8;           // u32 len | u32 crc
 constexpr uint32_t kMaxFrame = 1u << 28;     // same sanity bound as recordio
 constexpr size_t kWallTrailer = 4 * 8;       // four u64 nanosecond counts
+// Dynamic positions outstanding per worker. With several queued, a
+// worker always has its next position in hand instead of idling through
+// a pipe round-trip and the controller's decode of its last frame; a
+// death costs at most this many trials.
+constexpr size_t kWindow = 4;
 
 // The controller writes Dynamic commands into pipes whose reader may
 // have just been kill -9'd; that must surface as a failed write, not a
@@ -147,9 +152,10 @@ void run_process_shards(
 
   size_t next_pos = 0;  // Dynamic feed cursor
   auto feed = [&](size_t w) {
-    // Hand worker w its next position, or close its command stream when
-    // the list is drained. A dead reader (EPIPE) is handled by the
-    // worker's own EOF path, so a failed write is ignored here.
+    // Hand worker w one more position, or close its command stream when
+    // the list is drained (positions already in the pipe are still read
+    // before the EOF). A dead reader (EPIPE) is handled by the worker's
+    // own EOF path, so a failed write is ignored here.
     if (!dynamic || ws[w].cmd.wr < 0) return;
     if (next_pos >= pending.size()) {
       common::proc::close_fd(ws[w].cmd.wr);
@@ -163,7 +169,10 @@ void run_process_shards(
       common::proc::close_fd(ws[w].cmd.wr);
   };
   if (dynamic) {
-    for (size_t w = 0; w < workers; ++w) feed(w);
+    // Fill every window round-robin; each completed frame then refills
+    // its worker's window by one.
+    for (size_t k = 0; k < kWindow; ++k)
+      for (size_t w = 0; w < workers; ++w) feed(w);
   } else {
     for (size_t w = 0; w < workers; ++w)
       for (size_t pos = w; pos < pending.size(); pos += workers)
@@ -288,12 +297,16 @@ void run_process_shards(
       size_t w = fd_owner[k];
       ssize_t n = common::proc::read_some(ws[w].result.rd, chunk, sizeof chunk);
       if (n > 0) {
-        ws[w].buffer.insert(ws[w].buffer.end(), chunk, chunk + n);
-        // Drain every complete frame; a trailing partial frame waits for
-        // more bytes (or becomes a casualty at EOF).
-        for (;;) {
-          if (ws[w].buffer.size() < kFrameHeader) break;
-          common::ByteReader hdr(ws[w].buffer);
+        common::Bytes& buffer = ws[w].buffer;
+        buffer.insert(buffer.end(), chunk, chunk + n);
+        // Walk every complete frame, then drop them all in one erase: one
+        // read can hold many frames, and erasing each in turn would move
+        // the rest of the buffer once per frame. A trailing partial frame
+        // waits for more bytes (or becomes a casualty at EOF).
+        size_t off = 0;
+        while (buffer.size() - off >= kFrameHeader) {
+          common::ByteReader hdr(
+              std::span<const uint8_t>(buffer).subspan(off, kFrameHeader));
           uint32_t len = hdr.u32();
           uint32_t crc = hdr.u32();
           if (len > kMaxFrame) {
@@ -303,9 +316,9 @@ void run_process_shards(
             retire_worker(w, "sent an oversized frame");
             break;
           }
-          if (ws[w].buffer.size() < kFrameHeader + len) break;
-          std::span<const uint8_t> payload(ws[w].buffer.data() + kFrameHeader,
-                                           len);
+          if (buffer.size() - off - kFrameHeader < len) break;
+          std::span<const uint8_t> payload(
+              buffer.data() + off + kFrameHeader, len);
           if (common::crc32(payload) != crc) {
             common::log_warn("campaign", "worker " + std::to_string(w) +
                                              ": frame checksum mismatch, "
@@ -325,9 +338,9 @@ void run_process_shards(
             retire_worker(w, "sent an undecodable frame");
             break;
           }
-          ws[w].buffer.erase(ws[w].buffer.begin(),
-                             ws[w].buffer.begin() + kFrameHeader + len);
+          off += kFrameHeader + len;
         }
+        buffer.erase(buffer.begin(), buffer.begin() + off);
       } else if (n == 0) {
         retire_worker(w, "");
       } else {

@@ -23,9 +23,14 @@
 // The trial record inside the frame is byte-for-byte what the checkpoint
 // stores, so the controller relays it to the checkpoint file without
 // re-encoding; the wall-clock trailer rides outside the record because
-// records must stay deterministic. ByIndex shares are static (worker w
-// runs pending positions w, w+W, …); Dynamic positions are fed one at a
-// time as results arrive.
+// records must stay deterministic. The worker's record carries the
+// Testbed's own registry (Testbed::release_metrics), not a copy of it.
+// ByIndex shares are static (worker w runs pending positions w, w+W, …).
+// Dynamic keeps a fixed window of 4 positions outstanding per worker:
+// the windows fill round-robin, and each frame that comes back buys its
+// worker one more position, so a worker never idles while the controller
+// decodes its last frame. A dead worker fails exactly the positions it
+// still owed (at most the window).
 #pragma once
 
 #include <atomic>

@@ -165,6 +165,14 @@ obs::Registry& Testbed::metrics_snapshot() {
   return reg;
 }
 
+std::unique_ptr<obs::Registry> Testbed::release_metrics() {
+  metrics_snapshot();
+  auto released = std::move(metrics_);
+  metrics_ = std::make_unique<obs::Registry>();
+  metrics_->set_enabled(false);
+  return released;
+}
+
 std::string Testbed::provenance_json() {
   return config_.enable_provenance ? provenance_->to_json() : std::string();
 }

@@ -160,6 +160,11 @@ class Testbed {
   /// router, MVR, censor, capture tap) and returns it. Deterministic:
   /// two identically-seeded runs snapshot byte-identically.
   obs::Registry& metrics_snapshot();
+  /// metrics_snapshot(), then hands the registry itself to the caller and
+  /// leaves an empty, disabled registry in its place: the trial's
+  /// snapshot without a copy. Call it last; nothing this testbed records
+  /// afterwards reaches the released registry.
+  std::unique_ptr<obs::Registry> release_metrics();
   /// metrics_snapshot() rendered as JSON.
   std::string metrics_json();
 

@@ -94,12 +94,15 @@ void HistogramMetric::restore(common::Histogram hist,
 
 Registry::Family& Registry::family(std::string_view name, Kind kind,
                                    std::string_view help) {
-  auto [it, inserted] = families_.try_emplace(std::string(name));
+  auto it = families_.find(name);
+  if (it == families_.end()) {
+    it = families_.try_emplace(std::string(name)).first;
+    it->second.kind = kind;
+    it->second.help = std::string(help);
+    return it->second;
+  }
   Family& fam = it->second;
-  if (inserted) {
-    fam.kind = kind;
-    fam.help = std::string(help);
-  } else if (fam.kind != kind) {
+  if (fam.kind != kind) {
     throw std::invalid_argument("metric '" + std::string(name) +
                                 "' re-registered with a different kind");
   }
@@ -151,7 +154,14 @@ void Registry::merge(const Registry& other) {
   for (const auto& [name, ofam] : other.families_) {
     Family& fam = family(name, ofam.kind, ofam.help);
     for (const auto& [key, os] : ofam.series) {
-      Series& s = series(fam, os.labels);
+      // `other` keyed the series by labels_key of its sorted labels, the
+      // same canonical key series() would build here.
+      auto it = fam.series.find(key);
+      if (it == fam.series.end()) {
+        it = fam.series.try_emplace(key).first;
+        it->second.labels = os.labels;
+      }
+      Series& s = it->second;
       switch (ofam.kind) {
         case Kind::Counter:
           if (!s.counter) s.counter = std::make_unique<Counter>();

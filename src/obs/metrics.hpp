@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -148,7 +149,9 @@ class Registry {
   /// created with `other`'s shape and help text. The campaign runner
   /// uses this to combine per-worker registries — merging the same
   /// snapshots in the same order yields byte-identical to_json()
-  /// regardless of how many workers produced them. Throws
+  /// regardless of how many workers produced them. A family or series
+  /// that already exists is found by `other`'s canonical keys without
+  /// allocating; only a miss builds strings. Throws
   /// std::invalid_argument on a kind or histogram-shape conflict.
   /// A disabled registry ignores the call (snapshots stay empty).
   void merge(const Registry& other);
@@ -182,17 +185,20 @@ class Registry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<HistogramMetric> histogram;
   };
+  // Transparent comparators: lookups by string_view or by another
+  // registry's key never build a temporary std::string.
   struct Family {
     Kind kind = Kind::Counter;
     std::string help;
-    std::map<std::string, Series> series;  // keyed by canonical label string
+    // Keyed by canonical label string (labels_key of the sorted labels).
+    std::map<std::string, Series, std::less<>> series;
   };
 
   Family& family(std::string_view name, Kind kind, std::string_view help);
   Series& series(Family& fam, Labels labels);
 
   bool enabled_ = true;
-  std::map<std::string, Family> families_;
+  std::map<std::string, Family, std::less<>> families_;
   // Shared sinks handed out while disabled.
   Counter dummy_counter_;
   Gauge dummy_gauge_;

@@ -283,7 +283,8 @@ TEST(CampaignJobs, EmptyCampaignYieldsMetricsOnlyReport) {
 TEST(CampaignTelemetry, PhasesSumToTrialWallTime) {
   // setup + run + finish + teardown account for every trial's whole wall
   // time, and so do the workers' busy seconds, whether the trials ran in
-  // threads or in forked shards.
+  // threads or in forked shards. The busy seconds never exceed the pool's
+  // worker time, so its idle share lies in [0, 1).
   for (campaign::Backend backend :
        {campaign::Backend::Thread, campaign::Backend::Process}) {
     campaign::CampaignOptions options;
@@ -316,6 +317,12 @@ TEST(CampaignTelemetry, PhasesSumToTrialWallTime) {
     }
     EXPECT_GT(walls, 0.0);
     EXPECT_NEAR(phases, walls, 1e-9);
+    ASSERT_NE(result.telemetry->to_json().find("sm_campaign_pool_idle_share"),
+              std::string::npos);
+    double idle =
+        result.telemetry->gauge("sm_campaign_pool_idle_share")->value();
+    EXPECT_GE(idle, 0.0);
+    EXPECT_LT(idle, 1.0);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,13 @@ void prefix_checkpoint(const std::string& src, const std::string& dst,
   ASSERT_TRUE(writer.open(dst, campaign::kCheckpointTag, 0));
   for (size_t i = 0; i <= keep; ++i)  // record 0 is the meta
     ASSERT_TRUE(writer.append(scan.records[i]));
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
 }
 
 /// Byte offset of the end of frame `n` (counting the meta record as
@@ -327,30 +335,55 @@ TEST(CampaignResume, WorkerDeathFailsOnlyItsOwnTrials) {
 TEST(CampaignResume, WorkerCrashCasualtiesRerunOnResume) {
   // Crash losses are NOT checkpointed (unlike deterministic failures):
   // the resume re-runs them from their index-derived seeds and heals the
-  // campaign to the bytes an uninterrupted run produces.
-  auto good = campaign::build_workload("synthetic:8");
-  campaign::CampaignOptions plain;
-  plain.threads = 2;
-  const std::string ref_jsonl = campaign::run(good, plain).to_jsonl();
+  // campaign to the bytes an uninterrupted run produces. Dynamic keeps a
+  // window of 4 positions outstanding per worker, so a death costs the
+  // trial the worker was running and the ones queued behind it — between
+  // 1 and 4 trials, all its own — and every other row is the row a
+  // thread -j1 run produces.
+  auto good = campaign::build_workload("synthetic:24");
+  campaign::CampaignOptions serial;
+  serial.threads = 1;
+  const std::string ref_jsonl = campaign::run(good, serial).to_jsonl();
+  const std::vector<std::string> ref_rows = split_lines(ref_jsonl);
 
-  auto crashing = campaign::build_workload("synthetic:8");
-  crashing[3].factory = [](core::Testbed&) -> std::unique_ptr<core::Probe> {
+  auto crashing = campaign::build_workload("synthetic:24");
+  crashing[9].factory = [](core::Testbed&) -> std::unique_ptr<core::Probe> {
     ::_exit(9);
   };
   const std::string path = temp_path("crashrerun");
-  campaign::CampaignOptions first = plain;
+  std::remove(path.c_str());
+  campaign::CampaignOptions first;
+  first.threads = 2;
   first.backend = campaign::Backend::Process;
   first.shard = campaign::Shard::Dynamic;
   first.checkpoint_path = path;
   campaign::CampaignResult crashed = campaign::run(crashing, first);
   EXPECT_GE(crashed.failures, 1u);
+  EXPECT_LE(crashed.failures, 4u);
+  ASSERT_TRUE(crashed.trials[9].failed);
+  const int victim = crashed.trials[9].worker;
+  const std::string cause = "worker " + std::to_string(victim) +
+                            " exited 9 before trial completed";
+  const std::vector<std::string> rows = split_lines(crashed.to_jsonl());
+  ASSERT_EQ(rows.size(), ref_rows.size());
   campaign::CheckpointState state = campaign::load_checkpoint(path);
-  EXPECT_LT(state.trials.size(), good.size());  // casualties not recorded
-  EXPECT_FALSE(state.trials.count(3));
+  for (size_t i = 0; i < crashing.size(); ++i) {
+    const campaign::TrialResult& t = crashed.trials[i];
+    if (t.failed) {
+      EXPECT_EQ(t.worker, victim) << i;
+      EXPECT_EQ(t.error, cause) << i;
+      EXPECT_FALSE(state.trials.count(i)) << "casualty " << i;
+    } else {
+      EXPECT_EQ(rows[i], ref_rows[i]) << i;
+      EXPECT_TRUE(state.trials.count(i)) << i;
+    }
+  }
+  EXPECT_EQ(state.trials.size(), crashing.size() - crashed.failures);
 
   // Same campaign identity (names + seed), healthy factories: the resume
   // fills exactly the holes.
-  campaign::CampaignOptions resume = plain;
+  campaign::CampaignOptions resume;
+  resume.threads = 2;
   resume.checkpoint_path = path;
   campaign::CampaignResult healed = campaign::run(good, resume);
   EXPECT_EQ(healed.failures, 0u);

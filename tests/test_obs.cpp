@@ -3,6 +3,7 @@
 // guarantee when the layer is enabled on a full testbed run.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -13,6 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
+#include "campaign/workloads.hpp"
+#include "common/bytes.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "core/probe.hpp"
@@ -236,6 +240,22 @@ TEST(RegistryMerge, HistogramShapeConflictThrows) {
   a.histogram("h", 0.0, 10.0, 5)->observe(1.0);
   b.histogram("h", 0.0, 10.0, 4)->observe(1.0);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+}
+
+TEST(RegistryMerge, EmptyHelpAdoptsTheFirstHelpOffered) {
+  obs::Registry a, b, c;
+  a.counter("c")->inc();  // registered without help
+  a.gauge("g")->set(1.0);
+  a.gauge("g", {}, "set by an accessor");  // a later accessor's help
+  b.counter("c", {}, "what c counts")->inc(2);
+  a.merge(b);
+  c.counter("c", {}, "other help")->inc();
+  a.merge(c);  // a help text already set is kept
+  std::string prom = a.to_prometheus();
+  EXPECT_NE(prom.find("# HELP c what c counts\n"), std::string::npos);
+  EXPECT_NE(prom.find("# HELP g set by an accessor\n"), std::string::npos);
+  EXPECT_EQ(prom.find("other help"), std::string::npos);
+  EXPECT_EQ(a.counter("c")->value(), 4u);
 }
 
 TEST(RegistryMerge, DisabledTargetIgnoresMerge) {
@@ -588,6 +608,117 @@ TEST(SurveillanceGolden, FlowRecordLedgerJsonl) {
   const auto& flows = mvr->flow_records();
   EXPECT_GT(flows.finished().size(), 10u);
   obs_check_golden("mvr_flows.jsonl", flows.finished_jsonl());
+}
+
+// --- Registry handover: a trial's registry, not a copy of it ----------
+
+/// Reference for Registry::merge: every series of `src` re-registered
+/// through the public accessors, which sort its labels and build the
+/// family and series keys anew. It walks src's encode() bytes, the one
+/// public view of every series.
+void reference_merge(obs::Registry& dst, const obs::Registry& src) {
+  common::ByteWriter w;
+  src.encode(w);
+  common::ByteReader r(w.data());
+  auto str = [&r] { return r.text(r.u32()); };
+  auto f64 = [&r] { return std::bit_cast<double>(r.u64()); };
+  for (uint32_t f = r.u32(); f > 0; --f) {
+    std::string name = str();
+    uint8_t kind = r.u8();
+    std::string help = str();
+    for (uint32_t n = r.u32(); n > 0; --n) {
+      obs::Labels labels(r.u32());
+      for (auto& [k, v] : labels) {
+        k = str();
+        v = str();
+      }
+      if (kind == 0) {
+        dst.counter(name, labels, help)->inc(r.u64());
+      } else if (kind == 1) {
+        dst.gauge(name, labels, help)->add(f64());
+      } else {
+        double lo = f64();
+        double hi = f64();
+        std::vector<size_t> bins(r.u32());
+        for (size_t& b : bins) b = r.u64();
+        size_t count = r.u64();
+        double mean = f64();
+        double m2 = f64();
+        double min = f64();
+        double max = f64();
+        obs::HistogramMetric h(lo, hi, bins.size());
+        h.restore(common::Histogram::from_parts(lo, hi, bins),
+                  common::OnlineStats::from_parts(count, mean, m2, min, max));
+        dst.histogram(name, lo, hi, bins.size(), labels, help)->merge(h);
+      }
+    }
+  }
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.remaining(), 0u);
+}
+
+common::Bytes encoded(const obs::Registry& reg) {
+  common::ByteWriter w;
+  reg.encode(w);
+  return w.data();
+}
+
+void expect_same_bytes(const obs::Registry& a, const obs::Registry& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.to_json(), b.to_json()) << what;
+  EXPECT_EQ(a.to_prometheus(), b.to_prometheus()) << what;
+  EXPECT_EQ(encoded(a), encoded(b)) << what;
+}
+
+TEST(RegistryHandover, ReleasedRegistryMatchesTheMergedCopy) {
+  // Every observability trial of synthetic:1024 (one in four). A trial
+  // hands on its Testbed's registry itself, which must serialize to the
+  // same bytes as a merged copy of it, and folding the snapshots into a
+  // campaign registry must give what the reference merge gives.
+  const auto trials = campaign::build_workload("synthetic:1024");
+  const campaign::CampaignOptions options;
+  std::vector<std::unique_ptr<obs::Registry>> snapshots;
+  for (size_t i = 0; i < trials.size(); ++i) {
+    if (!trials[i].config.enable_observability) continue;
+    core::TestbedConfig config = trials[i].config;
+    const uint64_t seed = options.campaign_seed;
+    config.sav_seed = campaign::trial_seed(seed, i, 0);
+    config.mvr.sampling_seed = campaign::trial_seed(seed, i, 1);
+    config.netsim_seed = campaign::trial_seed(seed, i, 2);
+    core::Testbed tb(config);
+    auto probe = trials[i].factory(tb);
+    core::run_probe(tb, *probe, trials[i].probe_timeout);
+    tb.run_for(trials[i].drain);
+    core::assess_risk(tb, trials[i].name);
+
+    obs::Registry copy;
+    reference_merge(copy, tb.metrics_snapshot());
+    std::unique_ptr<obs::Registry> released = tb.release_metrics();
+    const std::string what = "trial " + std::to_string(i);
+    expect_same_bytes(*released, copy, what);
+    // The testbed keeps an empty, disabled registry.
+    EXPECT_FALSE(tb.metrics().enabled()) << what;
+    EXPECT_EQ(tb.metrics().series_count(), 0u) << what;
+
+    // execute_trial hands on the same registry.
+    campaign::TrialResult slot;
+    std::unique_ptr<obs::Registry> executed;
+    campaign::execute_trial(trials[i], i, options, slot, &executed);
+    ASSERT_TRUE(executed) << what;
+    expect_same_bytes(*executed, *released, what);
+    snapshots.push_back(std::move(released));
+  }
+  ASSERT_EQ(snapshots.size(), 256u);
+
+  // Twice over, so the second pass finds every family and series.
+  obs::Registry merged, reference;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& snapshot : snapshots) {
+      merged.merge(*snapshot);
+      reference_merge(reference, *snapshot);
+    }
+  }
+  expect_same_bytes(merged, reference, "campaign merge");
 }
 
 TEST(ObservedCampaign, JsonlCarriesMetricsBlock) {
