@@ -82,6 +82,8 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tsan" ]; then
   # CampaignResume/Checkpoint: the checkpoint writer is shared by the
   # whole worker pool behind one mutex — exactly the kind of surface
   # TSan exists for.
+  # Registry: thread-backend workers intern series into the one
+  # process-wide schema table at once (RegistryConcurrency).
   # The v6 sweeps ride along too (PacketFuzz covers the Ipv6 cases,
   # Fragment6/Reassembler6/FastpathEquivalence add the fragment and IDS
   # dual-stack differentials): cheap, and mixed-family campaign
@@ -89,7 +91,7 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tsan" ]; then
   # pool surface.
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$(nproc)" \
         --schedule-random \
-        -R '(Campaign|CampaignResume|Checkpoint|Logging|Merge|PacketFuzz|TimerWheel|PacketView|Provenance|Fragment6|Reassembler6|FastpathEquivalence)'
+        -R '(Campaign|CampaignResume|Checkpoint|Logging|Merge|Registry|PacketFuzz|TimerWheel|PacketView|Provenance|Fragment6|Reassembler6|FastpathEquivalence)'
 fi
 
 if [ "$STAGE" = "all" ] || [ "$STAGE" = "simcheck" ]; then

@@ -116,6 +116,50 @@ void execute_trial(const Trial& trial, size_t index,
   slot.wall_elapsed = since(wall_start, clock::now());
 }
 
+namespace {
+
+const obs::Family kTrials{obs::Kind::Counter, "sm_campaign_trials_total",
+                          "trials executed by the campaign runner"};
+const obs::Family kFailures{obs::Kind::Counter,
+                            "sm_campaign_trial_failures_total",
+                            "trials that failed with an exception"};
+const obs::Family kSimSeconds{obs::Kind::Histogram,
+                              "sm_campaign_trial_sim_seconds",
+                              "virtual time consumed per trial", {},
+                              {0.0, 120.0, 24}};
+const obs::Family kByVerdict{obs::Kind::Counter,
+                             "sm_campaign_trials_by_verdict_total",
+                             "trials by final verdict", {"verdict"}};
+const obs::Family kResumed{
+    obs::Kind::Counter, "sm_campaign_trials_resumed_total",
+    "trials restored from a checkpoint instead of executed"};
+const obs::Family kWallSeconds{obs::Kind::Histogram,
+                               "sm_campaign_trial_wall_seconds",
+                               "host time consumed per trial", {},
+                               {0.0, 10.0, 20}};
+const obs::Family kWorkerTrials{obs::Kind::Counter,
+                                "sm_campaign_worker_trials_total",
+                                "trials completed per worker", {"worker"}};
+// Seconds accumulate in gauges: a Counter holds whole units.
+const obs::Family kWorkerBusy{obs::Kind::Gauge,
+                              "sm_campaign_worker_busy_seconds_total",
+                              "host time each worker spent inside trials",
+                              {"worker"}};
+const obs::Family kPhaseWall{
+    obs::Kind::Gauge, "sm_campaign_phase_wall_seconds_total",
+    "host time per trial phase (setup = testbed build, run = probe+drain, "
+    "finish = risk/metrics/provenance, teardown = testbed and probe "
+    "destruction)",
+    {"phase"}};
+const obs::Family kSlowTrials{obs::Kind::Gauge, "sm_campaign_slow_trials",
+                              "trials slower than factor x median wall time",
+                              {"factor"}};
+const obs::Family kPoolIdleShare{
+    obs::Kind::Gauge, "sm_campaign_pool_idle_share",
+    "1 - trial wall time / (pool wall time x workers)"};
+
+}  // namespace
+
 void finalize_campaign(
     CampaignResult& result,
     const std::vector<std::unique_ptr<obs::Registry>>& snapshots,
@@ -125,14 +169,10 @@ void finalize_campaign(
   // content, so the output is byte-identical no matter which backend ran
   // them or how many were restored from a checkpoint.
   result.metrics = std::make_unique<obs::Registry>();
-  auto* trials_total = result.metrics->counter(
-      "sm_campaign_trials_total", {}, "trials executed by the campaign runner");
-  auto* failures_total = result.metrics->counter(
-      "sm_campaign_trial_failures_total", {},
-      "trials that failed with an exception");
-  auto* sim_seconds = result.metrics->histogram(
-      "sm_campaign_trial_sim_seconds", 0.0, 120.0, 24, {},
-      "virtual time consumed per trial");
+  obs::Registry& metrics = *result.metrics;
+  auto trials_total = metrics.counter(kTrials);
+  auto failures_total = metrics.counter(kFailures);
+  auto* sim_seconds = metrics.histogram(kSimSeconds);
   result.failures = 0;
   for (const TrialResult& t : result.trials) {
     trials_total->inc();
@@ -142,14 +182,10 @@ void finalize_campaign(
       continue;
     }
     sim_seconds->observe(t.sim_elapsed.to_seconds());
-    result.metrics
-        ->counter("sm_campaign_trials_by_verdict_total",
-                  {{"verdict", std::string(core::to_string(t.report.verdict))}},
-                  "trials by final verdict")
-        ->inc();
+    metrics.counter(kByVerdict, {core::to_string(t.report.verdict)})->inc();
   }
   for (const auto& snapshot : snapshots) {
-    if (snapshot) result.metrics->merge(*snapshot);
+    if (snapshot) metrics.merge(*snapshot);
   }
 
   // Campaign-health telemetry: wall-clock, per-worker, per-phase — kept
@@ -157,13 +193,9 @@ void finalize_campaign(
   // restored from a checkpoint did not run here, so they contribute
   // nothing beyond the resumed counter.
   result.telemetry = std::make_unique<obs::Registry>();
-  result.telemetry
-      ->counter("sm_campaign_trials_resumed_total", {},
-                "trials restored from a checkpoint instead of executed")
-      ->inc(result.resumed);
-  auto* wall_hist = result.telemetry->histogram(
-      "sm_campaign_trial_wall_seconds", 0.0, 10.0, 20, {},
-      "host time consumed per trial");
+  obs::Registry& telemetry = *result.telemetry;
+  telemetry.counter(kResumed)->inc(result.resumed);
+  auto* wall_hist = telemetry.histogram(kWallSeconds);
   std::vector<double> walls;
   std::vector<size_t> wall_index;
   walls.reserve(result.trials.size());
@@ -172,16 +204,9 @@ void finalize_campaign(
     wall_hist->observe(t.wall_elapsed.to_seconds());
     walls.push_back(t.wall_elapsed.to_seconds());
     wall_index.push_back(t.index);
-    obs::Labels worker_label = {{"worker", std::to_string(t.worker)}};
-    result.telemetry
-        ->counter("sm_campaign_worker_trials_total", worker_label,
-                  "trials completed per worker")
-        ->inc();
-    // Seconds accumulate in gauges: a Counter holds whole units.
-    result.telemetry
-        ->gauge("sm_campaign_worker_busy_seconds_total", worker_label,
-                "host time each worker spent inside trials")
-        ->add(t.wall_elapsed.to_seconds());
+    const std::string worker = std::to_string(t.worker);
+    telemetry.counter(kWorkerTrials, {worker})->inc();
+    telemetry.gauge(kWorkerBusy, {worker})->add(t.wall_elapsed.to_seconds());
     // Teardown (Testbed and probe destructors) is the rest of the wall
     // time, so the four phases sum to the trial's wall_elapsed.
     struct {
@@ -192,15 +217,8 @@ void finalize_campaign(
                   {"finish", t.wall_finish},
                   {"teardown", t.wall_elapsed - t.wall_setup - t.wall_run -
                                    t.wall_finish}};
-    for (const auto& p : phases) {
-      result.telemetry
-          ->gauge("sm_campaign_phase_wall_seconds_total",
-                  {{"phase", p.phase}},
-                  "host time per trial phase (setup = testbed build, "
-                  "run = probe+drain, finish = risk/metrics/provenance, "
-                  "teardown = testbed and probe destruction)")
-          ->add(p.d.to_seconds());
-    }
+    for (const auto& p : phases)
+      telemetry.gauge(kPhaseWall, {p.phase})->add(p.d.to_seconds());
   }
   // Slow-trial detection: wall time against the campaign median. A trial
   // k x slower than its peers is a stall candidate (livelocked probe,
@@ -216,10 +234,7 @@ void finalize_campaign(
           result.slow_trials.push_back(wall_index[i]);
     }
   }
-  result.telemetry
-      ->gauge("sm_campaign_slow_trials",
-              {{"factor", common::format("%g", kSlowTrialFactor)}},
-              "trials slower than factor x median wall time")
+  telemetry.gauge(kSlowTrials, {common::format("%g", kSlowTrialFactor)})
       ->set(static_cast<double>(result.slow_trials.size()));
 }
 
@@ -299,9 +314,7 @@ CampaignResult run(const std::vector<Trial>& trials,
       busy += result.trials[i].wall_elapsed.to_seconds();
     const size_t workers =
         std::min(resolve_threads(options.threads), pending.size());
-    result.telemetry
-        ->gauge("sm_campaign_pool_idle_share", {},
-                "1 - trial wall time / (pool wall time x workers)")
+    result.telemetry->gauge(kPoolIdleShare)
         ->set(1.0 - busy / (pool_wall.count() * double(workers)));
   }
   return result;

@@ -231,9 +231,10 @@ void execute_trial(const Trial& trial, size_t index,
 /// trials that actually ran this run. `snapshots` is indexed by trial
 /// (null = observability off for that trial). Exposed so sm-campaignd
 /// can finalize a campaign it reassembled from per-shard checkpoints.
+/// `options` is unused; it stays for callers that still pass it.
 void finalize_campaign(
     CampaignResult& result,
     const std::vector<std::unique_ptr<obs::Registry>>& snapshots,
-    const CampaignOptions& options);
+    const CampaignOptions& options = {});
 
 }  // namespace sm::campaign

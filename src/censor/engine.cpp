@@ -281,37 +281,44 @@ TapDecision CensorTap::inspect(const TapContext& ctx,
   return TapDecision::Pass;
 }
 
+namespace {
+
+using Stats = CensorTap::Stats;
+const obs::StatCounter<Stats> kCensorCounters[] = {
+    {&Stats::packets_seen, "sm_censor_packets_seen_total",
+     "packets inspected by the censor tap"},
+    {&Stats::rst_bursts, "sm_censor_rst_bursts_total",
+     "keyword matches answered with an RST burst"},
+    {&Stats::rst_packets_injected, "sm_censor_rst_packets_injected_total",
+     "forged RST segments injected"},
+    {&Stats::dns_responses_forged, "sm_censor_dns_responses_forged_total",
+     "forged DNS A answers raced to queriers"},
+    {&Stats::dns_queries_dropped, "sm_censor_dns_queries_dropped_total",
+     "DNS queries silently discarded"},
+    {&Stats::blockpages_injected, "sm_censor_blockpages_injected_total",
+     "forged HTTP blockpages served"},
+    {&Stats::dropped_inline, "sm_censor_dropped_inline_total",
+     "packets discarded by inline drop rules"},
+    {&Stats::dropped_blackout, "sm_censor_dropped_blackout_total",
+     "packets discarded during a 5-tuple blackout"},
+    {&Stats::v6_ext_blind_passes, "sm_censor_v6_ext_blind_passes_total",
+     "v6 packets skipped by extension-header-blind inspection"},
+};
+const obs::Family kBlackoutsActive{obs::Kind::Gauge,
+                                   "sm_censor_blackouts_active",
+                                   "5-tuple blackout entries currently held"};
+const obs::Family kStateBytes{
+    obs::Kind::Gauge, "sm_censor_state_bytes",
+    "bytes of flow-reassembly state held by the censor"};
+
+}  // namespace
+
 void CensorTap::export_metrics(obs::Registry& registry) const {
-  auto set = [&](std::string_view metric, uint64_t value,
-                 std::string_view help) {
-    registry.counter(metric, {}, help)->set(value);
-  };
-  set("sm_censor_packets_seen_total", stats_.packets_seen,
-      "packets inspected by the censor tap");
-  set("sm_censor_rst_bursts_total", stats_.rst_bursts,
-      "keyword matches answered with an RST burst");
-  set("sm_censor_rst_packets_injected_total", stats_.rst_packets_injected,
-      "forged RST segments injected");
-  set("sm_censor_dns_responses_forged_total", stats_.dns_responses_forged,
-      "forged DNS A answers raced to queriers");
-  set("sm_censor_dns_queries_dropped_total", stats_.dns_queries_dropped,
-      "DNS queries silently discarded");
-  set("sm_censor_blockpages_injected_total", stats_.blockpages_injected,
-      "forged HTTP blockpages served");
-  set("sm_censor_dropped_inline_total", stats_.dropped_inline,
-      "packets discarded by inline drop rules");
-  set("sm_censor_dropped_blackout_total", stats_.dropped_blackout,
-      "packets discarded during a 5-tuple blackout");
-  set("sm_censor_v6_ext_blind_passes_total", stats_.v6_ext_blind_passes,
-      "v6 packets skipped by extension-header-blind inspection");
-  registry
-      .gauge("sm_censor_blackouts_active", {},
-             "5-tuple blackout entries currently held")
+  for (const auto& [field, family] : kCensorCounters)
+    registry.counter(family)->set(stats_.*field);
+  registry.gauge(kBlackoutsActive)
       ->set(static_cast<double>(blackouts_.size()));
-  registry
-      .gauge("sm_censor_state_bytes", {},
-             "bytes of flow-reassembly state held by the censor")
-      ->set(static_cast<double>(state_bytes()));
+  registry.gauge(kStateBytes)->set(static_cast<double>(state_bytes()));
   engine_.export_metrics(registry, "censor");
 }
 

@@ -112,6 +112,11 @@ std::string join(const std::vector<std::string>& parts,
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
+  append_json_escaped(out, s);
+  return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view s) {
   for (unsigned char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -129,7 +134,6 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
-  return out;
 }
 
 std::string format(const char* fmt, ...) {

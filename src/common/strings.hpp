@@ -2,9 +2,12 @@
 // DNS names) and report writers.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace sm::common {
@@ -38,6 +41,25 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// multibyte UTF-8 included, pass through. The one JSON string escaper
 /// every export shares.
 std::string json_escape(std::string_view s);
+/// Appends json_escape(s) to `out` without a temporary.
+void append_json_escaped(std::string& out, std::string_view s);
+
+/// Appends each part to `out` without temporaries: integers in decimal
+/// (std::to_chars), anything else (string, string_view, C string, char)
+/// as text.
+template <class... Parts>
+void append(std::string& out, const Parts&... parts) {
+  auto one = [&out](const auto& part) {
+    using T = std::decay_t<decltype(part)>;
+    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, char>) {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, part).ptr);
+    } else {
+      out += part;
+    }
+  };
+  (one(parts), ...);
+}
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

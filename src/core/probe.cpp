@@ -33,29 +33,39 @@ void Probe::finish(Verdict v, std::string detail, Confidence confidence,
   done_ = true;
 }
 
+namespace {
+
+const obs::Family kRuns{obs::Kind::Counter, "sm_probe_runs_total",
+                        "measurements executed", {"technique"}};
+const obs::Family kRunsByVerdict{obs::Kind::Counter,
+                                 "sm_probe_runs_by_verdict_total",
+                                 "measurements by final verdict",
+                                 {"technique", "verdict"}};
+const obs::Family kPacketsSent{obs::Kind::Counter,
+                               "sm_probe_packets_sent_total",
+                               "probe packets transmitted", {"technique"}};
+const obs::Family kSamples{obs::Kind::Counter, "sm_probe_samples_total",
+                           "sub-measurements taken (ports, requests, ...)",
+                           {"technique"}};
+const obs::Family kSamplesBlocked{obs::Kind::Counter,
+                                  "sm_probe_samples_blocked_total",
+                                  "sub-measurements that observed blocking",
+                                  {"technique"}};
+
+}  // namespace
+
 ProbeReport run_probe(Testbed& tb, Probe& probe, common::Duration timeout) {
   probe.start();
   tb.run_until([&probe]() { return probe.done(); }, timeout);
   ProbeReport report = probe.report();
   obs::Registry& reg = tb.metrics();
   if (reg.enabled()) {
-    obs::Labels labels = {{"technique", report.technique}};
-    reg.counter("sm_probe_runs_total", labels, "measurements executed")
-        ->inc();
-    reg.counter("sm_probe_runs_by_verdict_total",
-                {{"technique", report.technique},
-                 {"verdict", std::string(to_string(report.verdict))}},
-                "measurements by final verdict")
-        ->inc();
-    reg.counter("sm_probe_packets_sent_total", labels,
-                "probe packets transmitted")
-        ->inc(report.packets_sent);
-    reg.counter("sm_probe_samples_total", labels,
-                "sub-measurements taken (ports, requests, ...)")
-        ->inc(report.samples);
-    reg.counter("sm_probe_samples_blocked_total", labels,
-                "sub-measurements that observed blocking")
-        ->inc(report.samples_blocked);
+    const std::string_view technique = report.technique;
+    reg.counter(kRuns, {technique})->inc();
+    reg.counter(kRunsByVerdict, {technique, to_string(report.verdict)})->inc();
+    reg.counter(kPacketsSent, {technique})->inc(report.packets_sent);
+    reg.counter(kSamples, {technique})->inc(report.samples);
+    reg.counter(kSamplesBlocked, {technique})->inc(report.samples_blocked);
   }
   return report;
 }

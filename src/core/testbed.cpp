@@ -24,6 +24,21 @@ proto::http::Response open_site_page(const proto::http::Request& req) {
       "news.</p><p>Requested: " + req.target + "</p></body></html>");
 }
 
+const obs::Family kCaptureRecords{obs::Kind::Gauge, "sm_capture_records",
+                                  "packets held by the capture tap"};
+const obs::Family kCaptureDropped{
+    obs::Kind::Counter, "sm_capture_dropped_total",
+    "capture records evicted by the max_records cap"};
+const obs::Family kProvEvents{
+    obs::Kind::Gauge, "sm_provenance_events",
+    "provenance events currently retained in the ring"};
+const obs::Family kProvEventsTotal{obs::Kind::Counter,
+                                   "sm_provenance_events_total",
+                                   "provenance events ever recorded"};
+const obs::Family kProvDropped{
+    obs::Kind::Counter, "sm_provenance_dropped_total",
+    "provenance events evicted by the drop-oldest ring"};
+
 }  // namespace
 
 Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
@@ -146,21 +161,12 @@ obs::Registry& Testbed::metrics_snapshot() {
   router->export_metrics(reg);
   mvr->export_metrics(reg);
   censor_tap->export_metrics(reg);
-  reg.gauge("sm_capture_records", {}, "packets held by the capture tap")
-      ->set(static_cast<double>(trace->size()));
-  reg.counter("sm_capture_dropped_total", {},
-              "capture records evicted by the max_records cap")
-      ->set(trace->dropped());
+  reg.gauge(kCaptureRecords)->set(static_cast<double>(trace->size()));
+  reg.counter(kCaptureDropped)->set(trace->dropped());
   if (config_.enable_provenance) {
-    reg.gauge("sm_provenance_events", {},
-              "provenance events currently retained in the ring")
-        ->set(static_cast<double>(provenance_->size()));
-    reg.counter("sm_provenance_events_total", {},
-                "provenance events ever recorded")
-        ->set(provenance_->total());
-    reg.counter("sm_provenance_dropped_total", {},
-                "provenance events evicted by the drop-oldest ring")
-        ->set(provenance_->dropped());
+    reg.gauge(kProvEvents)->set(static_cast<double>(provenance_->size()));
+    reg.counter(kProvEventsTotal)->set(provenance_->total());
+    reg.counter(kProvDropped)->set(provenance_->dropped());
   }
   return reg;
 }
@@ -168,6 +174,7 @@ obs::Registry& Testbed::metrics_snapshot() {
 std::unique_ptr<obs::Registry> Testbed::release_metrics() {
   metrics_snapshot();
   auto released = std::move(metrics_);
+  released->shrink_to_fit();
   metrics_ = std::make_unique<obs::Registry>();
   metrics_->set_enabled(false);
   return released;

@@ -350,34 +350,41 @@ Verdict Engine::process(SimTime now, const packet::Decoded& d) {
   return verdict;
 }
 
+namespace {
+
+const obs::StatCounter<Engine::Stats> kEngineCounters[] = {
+    {&Engine::Stats::packets, "sm_ids_packets_total",
+     "packets run through the signature engine", {"instance"}},
+    {&Engine::Stats::alerts, "sm_ids_alerts_total", "rule alerts raised",
+     {"instance"}},
+    {&Engine::Stats::drops, "sm_ids_drops_total",
+     "packets matched by drop/reject rules", {"instance"}},
+    {&Engine::Stats::fastpath_candidates, "sm_ids_fastpath_candidates_total",
+     "rules surviving the port-group index", {"instance"}},
+    {&Engine::Stats::prefilter_hits, "sm_ids_prefilter_hits_total",
+     "content rules whose fast pattern hit", {"instance"}},
+    {&Engine::Stats::prefilter_skips, "sm_ids_prefilter_skips_total",
+     "content rules skipped by the fast-pattern prefilter", {"instance"}},
+    {&Engine::Stats::payload_scans, "sm_ids_payload_scans_total",
+     "Aho-Corasick passes over payloads", {"instance"}},
+    {&Engine::Stats::stream_scans, "sm_ids_stream_scans_total",
+     "lazy passes over reassembled streams", {"instance"}},
+};
+const obs::Family kRules{obs::Kind::Gauge, "sm_ids_rules",
+                         "compiled rules in the engine", {"instance"}};
+const obs::Family kFlowBufferedBytes{obs::Kind::Gauge,
+                                     "sm_ids_flow_buffered_bytes",
+                                     "bytes of stream-reassembly state held",
+                                     {"instance"}};
+
+}  // namespace
+
 void Engine::export_metrics(obs::Registry& registry,
                             std::string_view instance) const {
-  obs::Labels labels = {{"instance", std::string(instance)}};
-  auto set = [&](std::string_view metric, uint64_t value,
-                 std::string_view help) {
-    registry.counter(metric, labels, help)->set(value);
-  };
-  set("sm_ids_packets_total", stats_.packets,
-      "packets run through the signature engine");
-  set("sm_ids_alerts_total", stats_.alerts, "rule alerts raised");
-  set("sm_ids_drops_total", stats_.drops,
-      "packets matched by drop/reject rules");
-  set("sm_ids_fastpath_candidates_total", stats_.fastpath_candidates,
-      "rules surviving the port-group index");
-  set("sm_ids_prefilter_hits_total", stats_.prefilter_hits,
-      "content rules whose fast pattern hit");
-  set("sm_ids_prefilter_skips_total", stats_.prefilter_skips,
-      "content rules skipped by the fast-pattern prefilter");
-  set("sm_ids_payload_scans_total", stats_.payload_scans,
-      "Aho-Corasick passes over payloads");
-  set("sm_ids_stream_scans_total", stats_.stream_scans,
-      "lazy passes over reassembled streams");
-  registry
-      .gauge("sm_ids_rules", labels, "compiled rules in the engine")
-      ->set(static_cast<double>(rules_.size()));
-  registry
-      .gauge("sm_ids_flow_buffered_bytes", labels,
-             "bytes of stream-reassembly state held")
+  for (const auto& [field, family] : kEngineCounters)
+    registry.counter(family, {instance})->set(stats_.*field);
+  registry.gauge(kRules, {instance})->set(static_cast<double>(rules_.size()));
+  registry.gauge(kFlowBufferedBytes, {instance})
       ->set(static_cast<double>(flows_.buffered_bytes()));
 }
 

@@ -25,11 +25,11 @@ void StreamBuffer::add_segment(uint32_t seq, std::span<const uint8_t> data) {
     buffer_.insert(buffer_.end(), data.begin(), data.end());
     merge_pending();
   } else {
-    // Gap: stash out of order (bounded by cap across pending).
-    size_t pending_total = 0;
-    for (const auto& [s, d] : pending_) pending_total += d.size();
-    if (pending_total + data.size() <= cap_)
-      pending_.emplace(seq, std::vector<uint8_t>(data.begin(), data.end()));
+    // Gap: stash out of order (bounded by cap across pending). A second
+    // segment at an already-pending sequence number is dropped.
+    if (pending_bytes_ + data.size() <= cap_ &&
+        pending_.try_emplace(seq, data.begin(), data.end()).second)
+      pending_bytes_ += data.size();
   }
   // Enforce the cap on the contiguous buffer by trimming the front.
   if (buffer_.size() > cap_) {
@@ -47,6 +47,7 @@ void StreamBuffer::merge_pending() {
     auto& data = it->second;
     uint32_t end = seq + static_cast<uint32_t>(data.size());
     if (seq_lt(buf_end, seq)) break;  // still a gap
+    pending_bytes_ -= data.size();
     if (seq_lt(end, buf_end) || end == buf_end) {
       pending_.erase(it);
       continue;
@@ -56,12 +57,6 @@ void StreamBuffer::merge_pending() {
                    data.end());
     pending_.erase(it);
   }
-}
-
-size_t StreamBuffer::buffered_bytes() const {
-  size_t total = buffer_.size();
-  for (const auto& [s, d] : pending_) total += d.size();
-  return total;
 }
 
 FlowKey FlowKey::from(const packet::Decoded& d) {

@@ -46,7 +46,7 @@ class StreamBuffer {
   /// The contiguous reassembled bytes currently held.
   std::span<const uint8_t> contiguous() const { return buffer_; }
 
-  size_t buffered_bytes() const;
+  size_t buffered_bytes() const { return buffer_.size() + pending_bytes_; }
 
  private:
   void merge_pending();
@@ -56,6 +56,7 @@ class StreamBuffer {
   bool base_set_ = false;
   std::vector<uint8_t> buffer_;
   std::map<uint32_t, std::vector<uint8_t>> pending_;  // out-of-order
+  size_t pending_bytes_ = 0;  // total size of pending_'s segments
 };
 
 /// Canonical 5-tuple key (direction-independent, either family — the

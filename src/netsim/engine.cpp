@@ -168,23 +168,25 @@ size_t Engine::run_until(SimTime deadline) {
   return n;
 }
 
+namespace {
+
+const obs::Family kEventsExecuted{obs::Kind::Counter,
+                                  "sm_netsim_events_executed_total",
+                                  "events executed by the discrete-event loop"};
+const obs::Family kQueueDepth{obs::Kind::Gauge, "sm_netsim_queue_depth",
+                              "events pending in the scheduler queue"};
+const obs::Family kQueueHighWater{obs::Kind::Gauge, "sm_netsim_queue_high_water",
+                                  "maximum simultaneous pending events seen"};
+const obs::Family kSimClock{obs::Kind::Gauge, "sm_netsim_sim_clock_seconds",
+                            "current simulated time in seconds"};
+
+}  // namespace
+
 void Engine::export_metrics(obs::Registry& registry) const {
-  registry
-      .counter("sm_netsim_events_executed_total", {},
-               "events executed by the discrete-event loop")
-      ->set(executed_);
-  registry
-      .gauge("sm_netsim_queue_depth", {},
-             "events pending in the scheduler queue")
-      ->set(static_cast<double>(pending()));
-  registry
-      .gauge("sm_netsim_queue_high_water", {},
-             "maximum simultaneous pending events seen")
-      ->set(static_cast<double>(queue_high_water_));
-  registry
-      .gauge("sm_netsim_sim_clock_seconds", {},
-             "current simulated time in seconds")
-      ->set(now_.to_seconds());
+  registry.counter(kEventsExecuted)->set(executed_);
+  registry.gauge(kQueueDepth)->set(static_cast<double>(pending()));
+  registry.gauge(kQueueHighWater)->set(static_cast<double>(queue_high_water_));
+  registry.gauge(kSimClock)->set(now_.to_seconds());
 }
 
 }  // namespace sm::netsim

@@ -250,26 +250,31 @@ void Router::forward(packet::Packet packet, const packet::Decoded& decoded,
   transmit(std::move(packet), out);
 }
 
+namespace {
+
+const obs::StatCounter<Router::Counters> kRouterCounters[] = {
+    {&Router::Counters::forwarded, "sm_router_forwarded_total",
+     "packets forwarded through the router", {"router"}},
+    {&Router::Counters::dropped_no_route, "sm_router_dropped_no_route_total",
+     "packets dropped for lack of a route", {"router"}},
+    {&Router::Counters::dropped_ttl, "sm_router_dropped_ttl_total",
+     "packets dropped on TTL expiry", {"router"}},
+    {&Router::Counters::dropped_by_tap, "sm_router_dropped_by_tap_total",
+     "packets dropped by an inline tap (censor)", {"router"}},
+    {&Router::Counters::dropped_ingress, "sm_router_dropped_ingress_total",
+     "packets dropped by ingress source-address validation", {"router"}},
+    {&Router::Counters::injected, "sm_router_injected_total",
+     "router/tap-originated packets injected into the path", {"router"}},
+    {&Router::Counters::icmp_time_exceeded,
+     "sm_router_icmp_time_exceeded_total",
+     "ICMP Time Exceeded errors generated", {"router"}},
+};
+
+}  // namespace
+
 void Router::export_metrics(obs::Registry& registry) const {
-  obs::Labels labels = {{"router", name()}};
-  auto set = [&](std::string_view metric, uint64_t value,
-                 std::string_view help) {
-    registry.counter(metric, labels, help)->set(value);
-  };
-  set("sm_router_forwarded_total", counters_.forwarded,
-      "packets forwarded through the router");
-  set("sm_router_dropped_no_route_total", counters_.dropped_no_route,
-      "packets dropped for lack of a route");
-  set("sm_router_dropped_ttl_total", counters_.dropped_ttl,
-      "packets dropped on TTL expiry");
-  set("sm_router_dropped_by_tap_total", counters_.dropped_by_tap,
-      "packets dropped by an inline tap (censor)");
-  set("sm_router_dropped_ingress_total", counters_.dropped_ingress,
-      "packets dropped by ingress source-address validation");
-  set("sm_router_injected_total", counters_.injected,
-      "router/tap-originated packets injected into the path");
-  set("sm_router_icmp_time_exceeded_total", counters_.icmp_time_exceeded,
-      "ICMP Time Exceeded errors generated");
+  for (const auto& [field, family] : kRouterCounters)
+    registry.counter(family, {name()})->set(counters_.*field);
 }
 
 }  // namespace sm::netsim

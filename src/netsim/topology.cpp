@@ -40,42 +40,38 @@ Link* Network::connect(Node* a, Node* b, LinkConfig config) {
   return link;
 }
 
+namespace {
+
+// Link counters, each summed over every link.
+const obs::StatCounter<LinkStats> kLinkCounters[] = {
+    {&LinkStats::sent, "sm_link_packets_sent_total",
+     "packets handed to any link for transmission"},
+    {&LinkStats::delivered, "sm_link_packets_delivered_total",
+     "packets delivered by links (duplicates included)"},
+    {&LinkStats::dropped_loss, "sm_link_dropped_loss_total",
+     "packets dropped by i.i.d. random loss"},
+    {&LinkStats::dropped_burst, "sm_link_dropped_burst_total",
+     "packets dropped inside Gilbert-Elliott loss bursts"},
+    {&LinkStats::dropped_down, "sm_link_dropped_down_total",
+     "packets dropped while a link was flapped down"},
+    {&LinkStats::dropped_corrupt, "sm_link_dropped_corrupt_total",
+     "corrupted packets discarded by receiver checksums"},
+    {&LinkStats::duplicated, "sm_link_duplicated_total",
+     "extra packet copies delivered by duplication"},
+    {&LinkStats::reordered, "sm_link_reordered_total",
+     "packets delayed by reorder jitter"},
+    {&LinkStats::corrupted, "sm_link_corrupted_delivered_total",
+     "packets delivered with flipped bytes"},
+};
+
+}  // namespace
+
 void Network::export_link_metrics(obs::Registry& registry) const {
-  LinkStats total;
-  for (const auto& l : links_) {
-    const LinkStats& s = l->stats();
-    total.sent += s.sent;
-    total.delivered += s.delivered;
-    total.dropped_loss += s.dropped_loss;
-    total.dropped_burst += s.dropped_burst;
-    total.dropped_down += s.dropped_down;
-    total.dropped_corrupt += s.dropped_corrupt;
-    total.duplicated += s.duplicated;
-    total.reordered += s.reordered;
-    total.corrupted += s.corrupted;
+  for (const auto& [field, family] : kLinkCounters) {
+    uint64_t total = 0;
+    for (const auto& l : links_) total += l->stats().*field;
+    registry.counter(family)->set(total);
   }
-  auto set = [&](std::string_view metric, uint64_t value,
-                 std::string_view help) {
-    registry.counter(metric, {}, help)->set(value);
-  };
-  set("sm_link_packets_sent_total", total.sent,
-      "packets handed to any link for transmission");
-  set("sm_link_packets_delivered_total", total.delivered,
-      "packets delivered by links (duplicates included)");
-  set("sm_link_dropped_loss_total", total.dropped_loss,
-      "packets dropped by i.i.d. random loss");
-  set("sm_link_dropped_burst_total", total.dropped_burst,
-      "packets dropped inside Gilbert-Elliott loss bursts");
-  set("sm_link_dropped_down_total", total.dropped_down,
-      "packets dropped while a link was flapped down");
-  set("sm_link_dropped_corrupt_total", total.dropped_corrupt,
-      "corrupted packets discarded by receiver checksums");
-  set("sm_link_duplicated_total", total.duplicated,
-      "extra packet copies delivered by duplication");
-  set("sm_link_reordered_total", total.reordered,
-      "packets delayed by reorder jitter");
-  set("sm_link_corrupted_delivered_total", total.corrupted,
-      "packets delivered with flipped bytes");
 }
 
 Host* Network::host(const std::string& name) const {

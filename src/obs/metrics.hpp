@@ -4,10 +4,17 @@
 // The simulator's whole argument rests on counting what the adversary
 // sees (alerts stored, probes RSTed, bytes retained), so those counts
 // need one common, machine-readable export path. Everything here is
-// deterministic: series are held in ordered maps keyed by (name, sorted
-// labels), values come only from simulation state, and no wall-clock or
+// deterministic: snapshots list series in (name, sorted labels) order,
+// values come only from simulation state, and no wall-clock or
 // address-dependent data ever enters a snapshot — two runs with the same
 // seed serialize byte-identically.
+//
+// Schema once, values per registry. A metric family's name, kind, help,
+// label names and histogram shape are declared once, as a namespace-scope
+// `Family` beside the subsystem that exports it. A process-wide,
+// append-only intern table maps (family, label values) to a series entry
+// that caches the series' escaped JSON, Prometheus and encode() keys, so
+// a Registry is only a flat array of (series, value) slots.
 //
 // Instrumentation is pull-model where it matters: hot subsystems keep
 // their existing cheap struct counters (ids::Engine::Stats, Router::
@@ -16,9 +23,9 @@
 // the hot paths nothing at all.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -33,37 +40,92 @@ namespace sm::obs {
 /// Label set for one series. Order-insensitive: the registry sorts by
 /// key before using the set as part of the series identity.
 using Labels = std::vector<std::pair<std::string, std::string>>;
+/// Label values of a declared family, in its label-name order.
+using LabelValues = std::initializer_list<std::string_view>;
 
-/// Monotonically increasing count. `set()` exists for the pull-model
-/// bridges, which copy an already-cumulative subsystem counter into the
-/// registry at snapshot time.
-class Counter {
- public:
-  void inc(uint64_t n = 1) { value_ += n; }
-  void set(uint64_t v) { value_ = v; }
-  uint64_t value() const { return value_; }
+enum class Kind : uint8_t { Counter, Gauge, Histogram };
 
- private:
-  uint64_t value_ = 0;
+class Registry;
+namespace detail {
+struct FamilyInfo;
+struct Series;
+uint32_t series_id(const Series* s);
+}  // namespace detail
+
+/// A histogram's [lo, hi) and bin count.
+struct Shape {
+  double lo = 0.0, hi = 1.0;
+  size_t bins = 1;
 };
 
-/// Point-in-time value (queue depth, retained fraction, store bytes).
-class Gauge {
+/// A metric family's schema, declared once as a namespace-scope constant
+/// beside the subsystem that exports it. Label names must be sorted.
+/// Constructing one interns the family (and an unlabeled family's one
+/// series).
+class Family {
  public:
-  void set(double v) { value_ = v; }
-  void add(double d) { value_ += d; }
-  double value() const { return value_; }
+  Family(Kind kind, std::string_view name, std::string_view help,
+         std::initializer_list<std::string_view> labels = {},
+         Shape shape = {});
 
  private:
-  double value_ = 0.0;
+  friend class Registry;
+  const detail::FamilyInfo* info_;
+  Kind kind_;
+  const detail::Series* plain_ = nullptr;  // an unlabeled family's series
+  std::string_view help_;  // views the interned help when they are equal
+  std::vector<std::string_view> labels_;
+  Shape shape_;
 };
+
+/// A counter family bridged from one field of a subsystem's stats struct:
+/// an export_metrics() walks a table of these.
+template <class Stats>
+struct StatCounter {
+  StatCounter(uint64_t Stats::*field, std::string_view name,
+              std::string_view help,
+              std::initializer_list<std::string_view> labels = {})
+      : field(field), family(Kind::Counter, name, help, labels) {}
+  uint64_t Stats::*field;
+  Family family;
+};
+
+/// A series handle: (registry, series), valid for the registry's
+/// lifetime; `->` works on it as on a pointer. Counter is a monotonically
+/// increasing count (set() exists for the pull-model bridges, which copy
+/// an already-cumulative subsystem counter at snapshot time); Gauge is a
+/// point-in-time value (queue depth, retained fraction, store bytes).
+template <class T>
+class Cell {
+ public:
+  void set(T v);
+  T value() const;
+  void inc(T n = 1) { set(value() + n); }
+  void add(T d) { set(value() + d); }
+  /// The intern table's dense id of this series (~0u for a sink): one
+  /// per (family, labels), whichever thread interned it first.
+  uint32_t id() const { return detail::series_id(series_); }
+  Cell* operator->() { return this; }
+  bool operator==(const Cell& o) const {
+    return reg_ == o.reg_ && series_ == o.series_;
+  }
+
+ private:
+  friend class Registry;
+  Cell(Registry* reg, const detail::Series* series, size_t slot)
+      : reg_(reg), series_(series), slot_(slot) {}
+  Registry* reg_;
+  const detail::Series* series_;  // null: a disabled registry's sink
+  mutable size_t slot_;           // where the series was; re-found if moved
+};
+using Counter = Cell<uint64_t>;
+using Gauge = Cell<double>;
 
 /// Fixed-bin distribution over [lo, hi) (out-of-range observations clamp
 /// to the edge bins, matching common::Histogram), with running moments.
 class HistogramMetric {
  public:
-  HistogramMetric(double lo, double hi, size_t bins)
-      : lo_(lo), hi_(hi), hist_(lo, hi, bins) {}
+  HistogramMetric(double lo, double hi, size_t bins) : hist_(lo, hi, bins) {}
 
   void observe(double x) {
     hist_.add(x);
@@ -74,7 +136,7 @@ class HistogramMetric {
   /// a distribution from current state (e.g. per-dossier scores) call
   /// this first so repeated snapshots stay idempotent.
   void reset() {
-    hist_ = common::Histogram(lo_, hi_, hist_.bins().size());
+    hist_ = common::Histogram(lo(), hi(), hist_.bins().size());
     moments_ = common::OnlineStats{};
   }
 
@@ -93,8 +155,8 @@ class HistogramMetric {
   double sum() const {
     return moments_.mean() * static_cast<double>(moments_.count());
   }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
+  double lo() const { return hist_.lo(); }
+  double hi() const { return hist_.hi(); }
   const common::Histogram& histogram() const { return hist_; }
   const common::OnlineStats& moments() const { return moments_; }
   /// Restores exact serialized state (checkpoint decode). The histogram's
@@ -111,19 +173,22 @@ class HistogramMetric {
   double quantile(double q) const;
 
  private:
-  double lo_, hi_;
   common::Histogram hist_;
   common::OnlineStats moments_;
 };
 
-/// The registry. Series accessors return stable pointers that stay valid
-/// for the registry's lifetime, so call sites can cache them. Re-using a
-/// metric name with a different kind or histogram shape throws
-/// std::invalid_argument (programmer error).
+/// The registry: one slot per series it touched, sorted by series.
+/// Re-using a metric name with a different kind, or a series with a
+/// different histogram shape, throws std::invalid_argument (programmer
+/// error). Help text belongs to the registry: a family keeps the first
+/// non-empty help it is offered, by an accessor or by merge().
 ///
-/// A disabled registry hands out shared dummy series instead: writes go
-/// to a sink nobody reads and snapshots are empty, so "observability
-/// off" needs no branches at the instrumentation sites.
+/// A disabled registry hands out sink series instead: writes go to a
+/// sink nobody reads and snapshots are empty, so "observability off"
+/// needs no branches at the instrumentation sites.
+///
+/// One registry is used by one thread at a time; the intern table behind
+/// every registry is shared and thread-safe.
 class Registry {
  public:
   Registry() = default;
@@ -133,28 +198,49 @@ class Registry {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  Counter* counter(std::string_view name, Labels labels = {},
-                   std::string_view help = "");
-  Gauge* gauge(std::string_view name, Labels labels = {},
-               std::string_view help = "");
+  /// Series of a declared family; `values` pairs with its label names.
+  Counter counter(const Family& f, LabelValues values = {}) {
+    return handle<uint64_t>(declared(f, Kind::Counter, values));
+  }
+  Gauge gauge(const Family& f, LabelValues values = {}) {
+    return handle<double>(declared(f, Kind::Gauge, values));
+  }
+  HistogramMetric* histogram(const Family& f, LabelValues values = {}) {
+    return hist_at(declared(f, Kind::Histogram, values), f.shape_.lo,
+                   f.shape_.hi, f.shape_.bins);
+  }
+
+  /// Series by name, for decode(), tests and ad-hoc registries. The
+  /// histogram pointer stays valid for the registry's lifetime.
+  Counter counter(std::string_view name, Labels labels = {},
+                  std::string_view help = "") {
+    return handle<uint64_t>(named(name, Kind::Counter, labels, help));
+  }
+  Gauge gauge(std::string_view name, Labels labels = {},
+              std::string_view help = "") {
+    return handle<double>(named(name, Kind::Gauge, labels, help));
+  }
   HistogramMetric* histogram(std::string_view name, double lo, double hi,
                              size_t bins, Labels labels = {},
-                             std::string_view help = "");
+                             std::string_view help = "") {
+    return hist_at(named(name, Kind::Histogram, labels, help), lo, hi, bins);
+  }
 
   /// Number of registered (name, labels) series.
-  size_t series_count() const;
+  size_t series_count() const { return slots_.size(); }
 
   /// Folds every series of `other` into this registry: counters and
   /// gauges add, histograms merge() bin-wise; series missing here are
   /// created with `other`'s shape and help text. The campaign runner
-  /// uses this to combine per-worker registries — merging the same
+  /// uses this to combine per-trial registries — merging the same
   /// snapshots in the same order yields byte-identical to_json()
-  /// regardless of how many workers produced them. A family or series
-  /// that already exists is found by `other`'s canonical keys without
-  /// allocating; only a miss builds strings. Throws
+  /// regardless of how many workers produced them. Throws
   /// std::invalid_argument on a kind or histogram-shape conflict.
   /// A disabled registry ignores the call (snapshots stay empty).
   void merge(const Registry& other);
+
+  /// Frees unused slot capacity (a snapshot about to be held).
+  void shrink_to_fit();
 
   /// Deterministic JSON snapshot: an array of series sorted by
   /// (name, labels), e.g.
@@ -177,36 +263,51 @@ class Registry {
   static std::unique_ptr<Registry> decode(common::ByteReader& r);
 
  private:
-  enum class Kind { Counter, Gauge, Histogram };
+  template <class T>
+  friend class Cell;
 
-  struct Series {
-    Labels labels;  // sorted by key
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<HistogramMetric> histogram;
-  };
-  // Transparent comparators: lookups by string_view or by another
-  // registry's key never build a temporary std::string.
-  struct Family {
-    Kind kind = Kind::Counter;
-    std::string help;
-    // Keyed by canonical label string (labels_key of the sorted labels).
-    std::map<std::string, Series, std::less<>> series;
+  // A counter's value, a gauge's bit pattern, or a histogram's index
+  // into hists_.
+  struct Slot {
+    const detail::Series* series;
+    uint64_t bits;
   };
 
-  Family& family(std::string_view name, Kind kind, std::string_view help);
-  Series& series(Family& fam, Labels labels);
+  size_t find(const detail::Series* s) const;
+  size_t slot(const detail::Series* s, std::string_view help);
+  uint64_t& cell(const detail::Series* s, size_t& hint);
+  // declared() and named() return the slot of the series, or kSink
+  // while disabled; handle() and hist_at() then hand out the sink.
+  static constexpr size_t kSink = ~size_t{0};
+  template <class T>
+  Cell<T> handle(size_t i) {
+    return Cell<T>(this, i == kSink ? nullptr : slots_[i].series, i);
+  }
+  HistogramMetric* hist_at(size_t slot, double lo, double hi, size_t bins);
+  size_t declared(const Family& f, Kind kind, LabelValues values);
+  size_t named(std::string_view name, Kind kind, Labels& labels,
+               std::string_view help);
+  std::string_view help_of(const detail::FamilyInfo* f) const;
+  void offer_help(const detail::FamilyInfo* f, std::string_view help,
+                  bool held);
+  std::vector<const Slot*> canonical() const;
 
   bool enabled_ = true;
-  std::map<std::string, Family, std::less<>> families_;
-  // Shared sinks handed out while disabled.
-  Counter dummy_counter_;
-  Gauge dummy_gauge_;
-  HistogramMetric dummy_histogram_{0.0, 1.0, 1};
+  std::vector<Slot> slots_;  // sorted by series address
+  std::vector<std::unique_ptr<HistogramMetric>> hists_;
+  // Families whose help here differs from their interned default.
+  std::vector<std::pair<const detail::FamilyInfo*, std::string>> helps_;
+  uint64_t sink_ = 0;
+  std::unique_ptr<HistogramMetric> sink_hist_;
 };
 
-/// Canonical `k="v",k2="v2"` rendering of a sorted label set (empty
-/// string for no labels). Exposed for tests.
-std::string labels_key(const Labels& labels);
+template <class T>
+void Cell<T>::set(T v) {
+  reg_->cell(series_, slot_) = std::bit_cast<uint64_t>(v);
+}
+template <class T>
+T Cell<T>::value() const {
+  return std::bit_cast<T>(reg_->cell(series_, slot_));
+}
 
 }  // namespace sm::obs

@@ -1,6 +1,7 @@
 #include "obs/provenance.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <unordered_map>
 
 #include "common/strings.hpp"
@@ -9,11 +10,22 @@ namespace sm::obs {
 
 namespace {
 
-/// Sim nanoseconds -> trace_event microseconds. Three decimals keep full
-/// nanosecond precision and render deterministically.
-std::string micros(int64_t nanos) {
-  return common::format("%lld.%03lld", static_cast<long long>(nanos / 1000),
-                        static_cast<long long>(nanos % 1000));
+/// Appends sim nanoseconds as trace_event microseconds. Three decimals
+/// keep full nanosecond precision and render deterministically.
+void append_micros(std::string& out, int64_t nanos) {
+  char buf[48];
+  out.append(buf, static_cast<size_t>(std::snprintf(
+                      buf, sizeof buf, "%lld.%03lld",
+                      static_cast<long long>(nanos / 1000),
+                      static_cast<long long>(nanos % 1000))));
+}
+
+/// Appends "key":"value" with the value JSON-escaped.
+void append_str(std::string& out, std::string_view key,
+                std::string_view value) {
+  common::append(out, '"', key, "\":\"");
+  common::append_json_escaped(out, value);
+  out += '"';
 }
 
 struct KindName {
@@ -38,10 +50,6 @@ constexpr KindName kKindNames[] = {
     {ProvKind::Verdict, "verdict"},
 };
 
-std::string ipv4(const uint8_t* p) {
-  return common::format("%u.%u.%u.%u", p[0], p[1], p[2], p[3]);
-}
-
 }  // namespace
 
 std::string_view to_string(ProvKind kind) {
@@ -62,22 +70,24 @@ std::string summarize_wire(const uint8_t* data, size_t len) {
   if (data == nullptr || len < 20 || (data[0] >> 4) != 4) return "raw";
   const size_t ihl = static_cast<size_t>(data[0] & 0x0f) * 4;
   const uint8_t proto = data[9];
-  std::string src = ipv4(data + 12), dst = ipv4(data + 16);
   const char* name = proto == 6    ? "tcp"
                      : proto == 17 ? "udp"
                      : proto == 1  ? "icmp"
                                    : nullptr;
-  if ((proto == 6 || proto == 17) && len >= ihl + 4) {
-    const uint16_t sport =
-        static_cast<uint16_t>(data[ihl] << 8 | data[ihl + 1]);
-    const uint16_t dport =
-        static_cast<uint16_t>(data[ihl + 2] << 8 | data[ihl + 3]);
-    return common::format("%s %s:%u>%s:%u", name, src.c_str(), sport,
-                          dst.c_str(), dport);
-  }
-  if (name != nullptr) return common::format("%s %s>%s", name, src.c_str(),
-                                             dst.c_str());
-  return common::format("proto=%u %s>%s", proto, src.c_str(), dst.c_str());
+  const bool ports = (proto == 6 || proto == 17) && len >= ihl + 4;
+  // "tcp a.b.c.d:p>e.f.g.h:q", "icmp a.b.c.d>e.f.g.h", "proto=N a>b".
+  std::string out;
+  out.reserve(48);
+  if (name != nullptr) common::append(out, name, ' ');
+  else common::append(out, "proto=", proto, ' ');
+  auto endpoint = [&](const uint8_t* ip, const uint8_t* port) {
+    common::append(out, ip[0], '.', ip[1], '.', ip[2], '.', ip[3]);
+    if (ports) common::append(out, ':', uint16_t(port[0] << 8 | port[1]));
+  };
+  endpoint(data + 12, data + ihl);
+  out += '>';
+  endpoint(data + 16, data + ihl + 2);
+  return out;
 }
 
 ProvenanceGraph::ProvenanceGraph(size_t capacity)
@@ -195,32 +205,22 @@ uint64_t ProvenanceGraph::root_of(uint64_t id) const {
 
 std::string ProvenanceGraph::to_json() const {
   std::string out = "{\"events\":[";
-  bool first = true;
   const size_t n = ring_.size(), start = oldest();
+  out.reserve(n * 112 + 48);
   for (size_t i = 0; i < n; ++i) {
     const ProvEvent& ev = ring_[(start + i) % n];
-    if (!first) out += ',';
-    first = false;
-    out += "{\"id\":" + std::to_string(ev.id) +
-           ",\"cause\":" + std::to_string(ev.cause);
-    if (ev.packet != 0) out += ",\"packet\":" + std::to_string(ev.packet);
-    out += ",\"t\":" + std::to_string(ev.ts.count()) + ",\"kind\":\"";
-    out += to_string(ev.kind);
-    out += "\",\"what\":\"" + common::json_escape(ev.what) + "\"";
-    if (!ev.detail.empty())
-      out += ",\"detail\":\"" + common::json_escape(ev.detail) + "\"";
-    if (!ev.refs.empty()) {
-      out += ",\"refs\":[";
-      for (size_t r = 0; r < ev.refs.size(); ++r) {
-        if (r) out += ',';
-        out += std::to_string(ev.refs[r]);
-      }
-      out += "]";
-    }
-    out += "}";
+    common::append(out, i ? ",{\"id\":" : "{\"id\":", ev.id, ",\"cause\":",
+                   ev.cause);
+    if (ev.packet != 0) common::append(out, ",\"packet\":", ev.packet);
+    common::append(out, ",\"t\":", ev.ts.count(), ",\"kind\":\"",
+                   to_string(ev.kind), "\",");
+    append_str(out, "what", ev.what);
+    if (!ev.detail.empty()) append_str(out += ',', "detail", ev.detail);
+    for (size_t r = 0; r < ev.refs.size(); ++r)
+      common::append(out, r ? "," : ",\"refs\":[", ev.refs[r]);
+    out += ev.refs.empty() ? "}" : "]}";
   }
-  out += "],\"total\":" + std::to_string(total_) +
-         ",\"dropped\":" + std::to_string(dropped_) + "}";
+  common::append(out, "],\"total\":", total_, ",\"dropped\":", dropped_, "}");
   return out;
 }
 
@@ -258,47 +258,48 @@ std::string to_chrome_json(const ProvenanceGraph& g) {
     }
   }
 
-  auto str = [](std::string_view key, std::string_view value) {
-    return "\"" + std::string(key) + "\":\"" + common::json_escape(value) +
-           "\"";
-  };
   std::string out = "{\"traceEvents\":[";
+  out.reserve(n * 160 + 96);
   for (size_t i = 0; i < n; ++i) {
     const ProvEvent& ev = events[i];
     const bool probe = ev.kind == ProvKind::ProbeStart;
     const bool span = probe || ev.kind == ProvKind::Attempt;
-    out += i ? ",{" : "{";
-    out += str("name", probe  ? ev.what
-                       : span ? "attempt " + ev.detail
-                              : std::string(to_string(ev.kind)));
-    out += probe ? ",\"cat\":\"probe\",\"ph\":\"X\""
-           : span ? ",\"cat\":\"attempt\",\"ph\":\"X\""
-                  : ",\"cat\":\"provenance\",\"ph\":\"i\",\"s\":\"t\"";
-    out += ",\"ts\":" + micros(ev.ts.count());
+    out += i ? ",{\"name\":\"" : "{\"name\":\"";
+    if (span && !probe) out += "attempt ";
+    common::append_json_escaped(out, probe  ? std::string_view(ev.what)
+                                     : span ? std::string_view(ev.detail)
+                                            : to_string(ev.kind));
+    out += probe ? "\",\"cat\":\"probe\",\"ph\":\"X\""
+           : span ? "\",\"cat\":\"attempt\",\"ph\":\"X\""
+                  : "\",\"cat\":\"provenance\",\"ph\":\"i\",\"s\":\"t\"";
+    append_micros(out += ",\"ts\":", ev.ts.count());
     if (span) {
-      out += ",\"dur\":" +
-             micros(std::max<int64_t>(0, (end[i] - ev.ts).count()));
+      append_micros(out += ",\"dur\":",
+                    std::max<int64_t>(0, (end[i] - ev.ts).count()));
     }
-    out += ",\"pid\":1,\"tid\":" + std::to_string(tid[i]) + ",\"args\":{";
+    common::append(out, ",\"pid\":1,\"tid\":", tid[i], ",\"args\":{");
     if (probe) {
-      out += str("technique", ev.what) + "," + str("target", ev.detail);
+      append_str(out, "technique", ev.what);
+      append_str(out += ',', "target", ev.detail);
       if (verdict[i] != n) {
-        out += "," + str("verdict", events[verdict[i]].what) + "," +
-               str("confidence", events[verdict[i]].detail);
+        append_str(out += ',', "verdict", events[verdict[i]].what);
+        append_str(out += ',', "confidence", events[verdict[i]].detail);
       }
     } else {
-      out += "\"id\":" + std::to_string(ev.id);
+      common::append(out, "\"id\":", ev.id);
       if (!span) {
-        out += ",\"cause\":" + std::to_string(ev.cause) +
-               ",\"packet\":" + std::to_string(ev.packet) + "," +
-               str("what", ev.what) + "," + str("detail", ev.detail);
+        common::append(out, ",\"cause\":", ev.cause, ",\"packet\":", ev.packet,
+                       ",");
+        append_str(out, "what", ev.what);
+        append_str(out += ',', "detail", ev.detail);
       }
     }
     out += "}}";
   }
-  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"sim\","
-         "\"total\":" + std::to_string(g.total()) +
-         ",\"dropped\":" + std::to_string(g.dropped()) + "}}";
+  common::append(out,
+                 "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"sim\","
+                 "\"total\":",
+                 g.total(), ",\"dropped\":", g.dropped(), "}}");
   return out;
 }
 

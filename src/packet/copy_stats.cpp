@@ -18,18 +18,21 @@ void reset_copy_counters() {
   c.stream.store(0, std::memory_order_relaxed);
 }
 
+namespace {
+
+const obs::Family kCopies{
+    obs::Kind::Counter, "sm_packet_copies_total",
+    "packet payload copies, by reason (hop must stay 0)", {"site"}};
+
+}  // namespace
+
 void export_copy_metrics(obs::Registry& registry) {
-  auto set = [&](std::string_view site, uint64_t value) {
-    registry
-        .counter("sm_packet_copies_total", {{"site", std::string(site)}},
-                 "packet payload copies, by reason (hop must stay 0)")
-        ->set(value);
-  };
-  set("hop", copies(CopySite::Hop));
-  set("impairment", copies(CopySite::Impairment));
-  set("pcap", copies(CopySite::Pcap));
-  set("defrag", copies(CopySite::Defrag));
-  set("stream", copies(CopySite::Stream));
+  const std::pair<const char*, CopySite> sites[] = {
+      {"hop", CopySite::Hop},       {"impairment", CopySite::Impairment},
+      {"pcap", CopySite::Pcap},     {"defrag", CopySite::Defrag},
+      {"stream", CopySite::Stream}};
+  for (const auto& [site, which] : sites)
+    registry.counter(kCopies, {site})->set(copies(which));
 }
 
 }  // namespace sm::packet

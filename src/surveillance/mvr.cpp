@@ -151,66 +151,74 @@ uint64_t MvrTap::noise_alerts_for(Ipv4Address user) const {
   return n == nullptr ? 0 : *n;
 }
 
+namespace {
+
+using Stats = MvrTap::Stats;
+const obs::StatCounter<Stats> kMvrCounters[] = {
+    {&Stats::packets_seen, "sm_mvr_packets_seen_total",
+     "packets observed by the surveillance tap"},
+    {&Stats::bytes_seen, "sm_mvr_bytes_seen_total",
+     "wire bytes observed by the surveillance tap"},
+    {&Stats::bytes_discarded, "sm_mvr_bytes_discarded_total",
+     "bytes discarded wholesale by volume reduction"},
+    {&Stats::bytes_content_retained, "sm_mvr_bytes_content_retained_total",
+     "bytes sampled into the content store"},
+    {&Stats::noise_alerts, "sm_mvr_noise_alerts_total",
+     "alerts in noise classes (seen, then discarded pre-analyst)"},
+    {&Stats::interesting_alerts, "sm_mvr_interesting_alerts_total",
+     "alerts stored and forwarded to the analyst"},
+};
+const obs::Family kBytesByClass{obs::Kind::Counter,
+                                "sm_mvr_bytes_by_class_total",
+                                "observed bytes by traffic classification",
+                                {"class"}};
+const obs::Family kAlertsByClasstype{obs::Kind::Counter,
+                                     "sm_mvr_alerts_by_classtype_total",
+                                     "alerts raised, by rule classtype",
+                                     {"classtype"}};
+const obs::Family kRetainedFraction{
+    obs::Kind::Gauge, "sm_mvr_retained_fraction",
+    "content-store inflow / bytes seen (7.5% anchor)"};
+const obs::Family kStoreItems{obs::Kind::Gauge, "sm_mvr_store_items",
+                              "items held in retention store", {"store"}};
+const obs::Family kStoreBytes{obs::Kind::Gauge, "sm_mvr_store_bytes",
+                              "bytes held in retention store", {"store"}};
+const obs::Family kDossiers{obs::Kind::Gauge, "sm_mvr_dossiers",
+                            "per-user dossiers held by the analyst"};
+const obs::Family kInvestigated{
+    obs::Kind::Gauge, "sm_mvr_investigated_users",
+    "dossiers at or above the investigation threshold"};
+const obs::Family kSuspicion{
+    obs::Kind::Histogram, "sm_mvr_dossier_suspicion",
+    "analyst suspicion score per dossier (threshold default 10)", {},
+    {0.0, 20.0, 20}};
+const obs::Family kDossierBytes{
+    obs::Kind::Histogram, "sm_mvr_dossier_retained_bytes",
+    "retained content bytes attributed per dossier", {}, {0.0, 1 << 20, 16}};
+
+}  // namespace
+
 void MvrTap::export_metrics(obs::Registry& registry) const {
-  auto set = [&](std::string_view metric, uint64_t value,
-                 std::string_view help) {
-    registry.counter(metric, {}, help)->set(value);
-  };
-  set("sm_mvr_packets_seen_total", stats_.packets_seen,
-      "packets observed by the surveillance tap");
-  set("sm_mvr_bytes_seen_total", stats_.bytes_seen,
-      "wire bytes observed by the surveillance tap");
-  set("sm_mvr_bytes_discarded_total", stats_.bytes_discarded,
-      "bytes discarded wholesale by volume reduction");
-  set("sm_mvr_bytes_content_retained_total", stats_.bytes_content_retained,
-      "bytes sampled into the content store");
-  set("sm_mvr_noise_alerts_total", stats_.noise_alerts,
-      "alerts in noise classes (seen, then discarded pre-analyst)");
-  set("sm_mvr_interesting_alerts_total", stats_.interesting_alerts,
-      "alerts stored and forwarded to the analyst");
-  for (const auto& [cls, bytes] : stats_.bytes_by_class) {
-    registry
-        .counter("sm_mvr_bytes_by_class_total", {{"class", to_string(cls)}},
-                 "observed bytes by traffic classification")
-        ->set(bytes);
-  }
-  for (const auto& [classtype, count] : stats_.alerts_by_classtype) {
-    registry
-        .counter("sm_mvr_alerts_by_classtype_total",
-                 {{"classtype", classtype}},
-                 "alerts raised, by rule classtype")
-        ->set(count);
-  }
-  registry
-      .gauge("sm_mvr_retained_fraction", {},
-             "content-store inflow / bytes seen (7.5% anchor)")
-      ->set(retained_fraction());
+  for (const auto& [field, family] : kMvrCounters)
+    registry.counter(family)->set(stats_.*field);
+  for (const auto& [cls, bytes] : stats_.bytes_by_class)
+    registry.counter(kBytesByClass, {to_string(cls)})->set(bytes);
+  for (const auto& [classtype, count] : stats_.alerts_by_classtype)
+    registry.counter(kAlertsByClasstype, {classtype})->set(count);
+  registry.gauge(kRetainedFraction)->set(retained_fraction());
   auto store_gauges = [&](std::string_view which, size_t items,
                           uint64_t bytes) {
-    obs::Labels labels = {{"store", std::string(which)}};
-    registry
-        .gauge("sm_mvr_store_items", labels, "items held in retention store")
-        ->set(static_cast<double>(items));
-    registry
-        .gauge("sm_mvr_store_bytes", labels, "bytes held in retention store")
-        ->set(static_cast<double>(bytes));
+    registry.gauge(kStoreItems, {which})->set(static_cast<double>(items));
+    registry.gauge(kStoreBytes, {which})->set(static_cast<double>(bytes));
   };
   store_gauges("content", content_.count(), content_.bytes());
   store_gauges("metadata", metadata_.count(), metadata_.bytes());
   store_gauges("alerts", alerts_.count(), alerts_.bytes());
-  registry
-      .gauge("sm_mvr_dossiers", {}, "per-user dossiers held by the analyst")
-      ->set(static_cast<double>(analyst_.dossier_count()));
-  registry
-      .gauge("sm_mvr_investigated_users", {},
-             "dossiers at or above the investigation threshold")
+  registry.gauge(kDossiers)->set(static_cast<double>(analyst_.dossier_count()));
+  registry.gauge(kInvestigated)
       ->set(static_cast<double>(analyst_.investigation_list().size()));
-  auto* suspicion = registry.histogram(
-      "sm_mvr_dossier_suspicion", 0.0, 20.0, 20, {},
-      "analyst suspicion score per dossier (threshold default 10)");
-  auto* dossier_bytes = registry.histogram(
-      "sm_mvr_dossier_retained_bytes", 0.0, 1 << 20, 16, {},
-      "retained content bytes attributed per dossier");
+  auto* suspicion = registry.histogram(kSuspicion);
+  auto* dossier_bytes = registry.histogram(kDossierBytes);
   suspicion->reset();
   dossier_bytes->reset();
   for (const auto& d : analyst_.top_suspects(analyst_.dossier_count())) {

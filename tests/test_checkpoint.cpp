@@ -10,12 +10,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/checkpoint.hpp"
 #include "common/recordio.hpp"
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 
 using namespace sm;
@@ -211,6 +213,40 @@ TEST(Checkpoint, RegistryDecodeRejectsTruncation) {
     common::Bytes prefix(bytes.begin(), bytes.begin() + cut);
     common::ByteReader r(prefix);
     EXPECT_THROW(obs::Registry::decode(r), std::runtime_error) << cut;
+  }
+}
+
+// --- CRC-32 -----------------------------------------------------------
+
+/// CRC-32 (IEEE 802.3, reflected) one bit at a time: the definition the
+/// table-driven common::crc32 must reproduce.
+uint32_t crc32_bitwise(std::span<const uint8_t> data, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesTheBitwiseDefinition) {
+  EXPECT_EQ(common::crc32(std::string_view("123456789")), 0xCBF43926u);
+  EXPECT_EQ(common::crc32(std::string_view()), 0u);
+  common::Rng rng(0xC4C32);
+  std::vector<uint8_t> buf(4096 + 64);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.next());
+  const std::span<const uint8_t> all(buf);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Random offsets and lengths cover every alignment and every tail
+    // length of the 8-byte blocks; random seeds cover chaining.
+    const auto data = all.subspan(rng.bounded(64), rng.bounded(4097));
+    const auto seed = static_cast<uint32_t>(rng.next());
+    EXPECT_EQ(common::crc32(data, seed), crc32_bitwise(data, seed)) << trial;
+    const size_t cut = rng.bounded(data.size() + 1);
+    EXPECT_EQ(common::crc32(data.subspan(cut),
+                            common::crc32(data.first(cut), seed)),
+              common::crc32(data, seed))
+        << trial;
   }
 }
 

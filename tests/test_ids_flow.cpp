@@ -37,8 +37,10 @@ TEST(StreamBuffer, OutOfOrderMerges) {
   sb.set_base(0);
   sb.add_segment(6, common::to_bytes("world"));
   EXPECT_EQ(sb.contiguous().size(), 0u);
+  EXPECT_EQ(sb.buffered_bytes(), 5u);  // pending only
   sb.add_segment(0, common::to_bytes("hello "));
   EXPECT_EQ(common::to_string(sb.contiguous()), "hello world");
+  EXPECT_EQ(sb.buffered_bytes(), 11u);  // pending drained into the buffer
 }
 
 TEST(StreamBuffer, DuplicateIgnored) {
@@ -80,7 +82,13 @@ TEST(StreamBuffer, GapBoundedPending) {
   // Far out-of-order chunks beyond the cap are dropped, not hoarded.
   for (uint32_t i = 1; i < 10; ++i)
     sb.add_segment(100 * i, common::Bytes(10, 'x'));
-  EXPECT_LE(sb.buffered_bytes(), 16u + 10u);
+  EXPECT_EQ(sb.buffered_bytes(), 10u);  // only the first chunk fits
+  // A second segment at an already-pending sequence number is not
+  // inserted, so it must not count against the cap either.
+  sb.add_segment(100, common::Bytes(5, 'y'));
+  EXPECT_EQ(sb.buffered_bytes(), 10u);
+  sb.add_segment(50, common::Bytes(6, 'z'));
+  EXPECT_EQ(sb.buffered_bytes(), 16u);
 }
 
 TEST(FlowKey, CanonicalSymmetric) {

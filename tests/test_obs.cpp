@@ -10,8 +10,10 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -41,7 +43,7 @@ using common::SimTime;
 
 TEST(Registry, CounterGaugeBasics) {
   obs::Registry reg;
-  obs::Counter* c = reg.counter("sm_test_total");
+  obs::Counter c = reg.counter("sm_test_total");
   c->inc();
   c->inc(4);
   EXPECT_EQ(c->value(), 5u);
@@ -50,7 +52,7 @@ TEST(Registry, CounterGaugeBasics) {
   // Same (name, labels) -> same series; the pointer is stable.
   EXPECT_EQ(reg.counter("sm_test_total"), c);
 
-  obs::Gauge* g = reg.gauge("sm_test_depth");
+  obs::Gauge g = reg.gauge("sm_test_depth");
   g->set(3.5);
   g->add(0.5);
   EXPECT_DOUBLE_EQ(g->value(), 4.0);
@@ -59,15 +61,15 @@ TEST(Registry, CounterGaugeBasics) {
 
 TEST(Registry, LabeledSeriesAreIndependentAndOrderInsensitive) {
   obs::Registry reg;
-  obs::Counter* a = reg.counter("sm_x_total", {{"k", "1"}});
-  obs::Counter* b = reg.counter("sm_x_total", {{"k", "2"}});
+  obs::Counter a = reg.counter("sm_x_total", {{"k", "1"}});
+  obs::Counter b = reg.counter("sm_x_total", {{"k", "2"}});
   EXPECT_NE(a, b);
   a->inc(7);
   EXPECT_EQ(b->value(), 0u);
   // Label order must not mint a new series.
-  obs::Counter* c1 =
+  obs::Counter c1 =
       reg.counter("sm_y_total", {{"b", "2"}, {"a", "1"}});
-  obs::Counter* c2 =
+  obs::Counter c2 =
       reg.counter("sm_y_total", {{"a", "1"}, {"b", "2"}});
   EXPECT_EQ(c1, c2);
 }
@@ -171,7 +173,7 @@ TEST(Registry, HistogramObserveAndReset) {
 TEST(Registry, DisabledRegistryIsANoOpSink) {
   obs::Registry reg;
   reg.set_enabled(false);
-  obs::Counter* c = reg.counter("sm_ignored_total");
+  obs::Counter c = reg.counter("sm_ignored_total");
   c->inc(100);  // goes to the shared dummy, not a series
   EXPECT_EQ(reg.series_count(), 0u);
   EXPECT_EQ(reg.to_json(), "{\"metrics\":[]}");
@@ -283,6 +285,63 @@ TEST(HistogramMetricMerge, MomentsAndClampInteraction) {
   EXPECT_EQ(a.histogram().bins()[4], 1u);  // +inf clamped high
   EXPECT_EQ(a.moments().count(), 4u);
   EXPECT_TRUE(std::isinf(a.moments().max()));
+}
+
+// --- Registry under threads (thread-backend workers) -----------------
+
+const obs::Family kStressFamily{obs::Kind::Counter, "sm_stress_total",
+                                "series interned by every thread",
+                                {"owner", "slot"}};
+
+TEST(RegistryConcurrency, ThreadsInternEachSeriesOnceAndRenderAlike) {
+  // Every thread interns the same 64 labeled series, through a declared
+  // family and by name, each in its own order, and 64 series only it
+  // uses; it renders while the others are still interning. A shared
+  // series must get one id whichever thread interned it first, and the
+  // shared registries must serialize alike.
+  constexpr int kThreads = 4, kSeries = 64;
+  std::vector<std::vector<uint32_t>> shared(kThreads), own(kThreads);
+  std::vector<std::string> json(kThreads), prom(kThreads);
+  std::vector<std::unique_ptr<obs::Registry>> regs(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      auto reg = std::make_unique<obs::Registry>();
+      obs::Registry mine;
+      shared[t].resize(kSeries);
+      for (int i = 0; i < kSeries; ++i) {
+        const int k = (i * 37 + t * 11) % kSeries;
+        const std::string slot = std::to_string(k);
+        obs::Counter c = reg->counter(kStressFamily, {"all", slot});
+        c->inc(static_cast<uint64_t>(k));
+        shared[t][k] = c.id();
+        reg->counter("sm_stress_named_total", {{"slot", slot}}, "by name")
+            ->inc(static_cast<uint64_t>(k));
+        own[t].push_back(
+            mine.counter(kStressFamily, {"t" + std::to_string(t), slot})
+                .id());
+        if (i % 16 == 0) mine.to_json();  // render mid-way
+      }
+      json[t] = reg->to_json();
+      prom[t] = reg->to_prometheus();
+      regs[t] = std::move(reg);
+    });
+  }
+  for (auto& th : pool) th.join();
+  std::set<uint32_t> ids;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(shared[t], shared[0]) << t;
+    EXPECT_EQ(json[t], json[0]) << t;
+    EXPECT_EQ(prom[t], prom[0]) << t;
+    ids.insert(own[t].begin(), own[t].end());
+  }
+  ids.insert(shared[0].begin(), shared[0].end());
+  EXPECT_EQ(ids.size(), size_t{kSeries * (kThreads + 1)});  // all distinct
+  obs::Registry merged;
+  for (const auto& reg : regs) merged.merge(*reg);
+  EXPECT_EQ(merged.counter(kStressFamily, {"all", "63"})->value(),
+            uint64_t{63 * kThreads});
+  EXPECT_EQ(merged.series_count(), size_t{2 * kSeries});
 }
 
 // --- netsim::Engine instrumentation -----------------------------------

@@ -54,6 +54,18 @@ namespace {
 
 using sm::campaign::CampaignOptions;
 using sm::campaign::CampaignResult;
+using sm::obs::Kind;
+
+// Supervisor telemetry families.
+const sm::obs::Family kRestarts{Kind::Counter, "sm_campaignd_restarts_total",
+                                "worker restarts across the campaign"};
+const sm::obs::Family kShards{Kind::Gauge, "sm_campaignd_shards",
+                              "process shards"};
+const sm::obs::Family kTrials{Kind::Counter, "sm_campaignd_trials_total",
+                              "trials in the merged report"};
+const sm::obs::Family kFailures{Kind::Counter,
+                                "sm_campaignd_trial_failures_total",
+                                "failed trials in the merged report"};
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -301,20 +313,10 @@ int main(int argc, char** argv) {
     // CampaignResult::telemetry (wall-clock-ish data, never merged into
     // the deterministic report).
     sm::obs::Registry telemetry;
-    telemetry
-        .counter("sm_campaignd_restarts_total", {},
-                 "worker restarts across the campaign")
-        ->set(total_restarts);
-    telemetry.gauge("sm_campaignd_shards", {}, "process shards")
-        ->set(static_cast<double>(shards_n));
-    telemetry
-        .counter("sm_campaignd_trials_total", {},
-                 "trials in the merged report")
-        ->set(result.trials.size());
-    telemetry
-        .counter("sm_campaignd_trial_failures_total", {},
-                 "failed trials in the merged report")
-        ->set(result.failures);
+    telemetry.counter(kRestarts)->set(total_restarts);
+    telemetry.gauge(kShards)->set(static_cast<double>(shards_n));
+    telemetry.counter(kTrials)->set(result.trials.size());
+    telemetry.counter(kFailures)->set(result.failures);
     std::fprintf(stderr, "sm-campaignd: telemetry %s\n",
                  telemetry.to_json().c_str());
     std::fprintf(stderr, "sm-campaignd: wrote %s (%zu trials, %zu failures, "
