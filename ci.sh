@@ -175,13 +175,14 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "resume" ]; then
         -L resume
   # 6b: the end-to-end gate — kill -9 a Release 10k-trial supervised
   # campaign at >= 20 seeded random points (worker kills, whole-group
-  # kills, and --fault-byte-budget crashes landing mid-checkpoint-write),
-  # resume each time by relaunching sm-campaignd, and byte-diff the
-  # final JSONL + metrics against an uninterrupted run. Bounded by the
-  # harness's --max-launches stuck detector; seeded for replayability.
+  # kills, and >= 3 fired --fault-byte-budget crashes landing
+  # mid-checkpoint-write), resume each time by relaunching sm-campaignd,
+  # check once that a launch on a locked --dir exits 3 and leaves the
+  # checkpoint alone, and byte-diff the final JSONL + metrics against an
+  # uninterrupted run. Bounded by the harness's --max-launches stuck
+  # detector; seeded for replayability.
   cmake -B "$ROOT/build-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$ROOT/build-release" -j \
-        --target sm-campaignd sm-campaign-worker
+  cmake --build "$ROOT/build-release" -j --target sm-campaignd
   python3 "$ROOT/tools/crash_harness.py" --build "$ROOT/build-release" \
           --trials 10000 --jobs 4 --kills 20 --seed 1
 fi

@@ -1,5 +1,7 @@
 #include "campaign/campaign.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -262,6 +264,10 @@ CampaignResult run(const std::vector<Trial>& trials,
       ++result.resumed;
     }
     ckpt.open(options.checkpoint_path, state, meta);
+    if (options.checkpoint_fault_budget >= 0) {
+      ckpt.writer().set_fault_budget(options.checkpoint_fault_budget,
+                                     [] { ::_exit(kCheckpointFaultExit); });
+    }
   }
 
   std::vector<size_t> pending;
@@ -269,8 +275,9 @@ CampaignResult run(const std::vector<Trial>& trials,
   for (size_t i = 0; i < trials.size(); ++i)
     if (!result.trials[i].resumed) pending.push_back(i);
 
-  std::mutex progress_mu;  // serializes checkpoint appends + on_progress
-  std::atomic<size_t> completed{result.resumed};
+  // Serializes checkpoint appends, the progress count and on_progress.
+  std::mutex progress_mu;
+  size_t completed = result.resumed;
 
   const auto pool_start = std::chrono::steady_clock::now();
   if (options.backend == Backend::Process) {
@@ -282,15 +289,15 @@ CampaignResult run(const std::vector<Trial>& trials,
       TrialResult& slot = result.trials[i];
       execute_trial(trials[i], i, options, slot, &snapshots[i]);
       slot.worker = worker;
-      size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
       std::lock_guard<std::mutex> lock(progress_mu);
+      ++completed;
       if (checkpointing && !ckpt.append(slot, snapshots[i].get())) {
         common::log_warn("campaign", "checkpoint append failed: " +
                                          ckpt.writer().error());
       }
       if (options.on_progress) {
         Progress prog;
-        prog.completed = done;
+        prog.completed = completed;
         prog.total = trials.size();
         prog.trial = i;
         prog.worker = worker;
@@ -303,6 +310,11 @@ CampaignResult run(const std::vector<Trial>& trials,
   }
   const std::chrono::duration<double> pool_wall =
       std::chrono::steady_clock::now() - pool_start;
+  // Durability barrier: what this run appended is on disk before the
+  // caller reports the campaign done.
+  if (checkpointing && !ckpt.sync())
+    common::log_warn("campaign", "checkpoint sync failed: " +
+                                     ckpt.writer().error());
   ckpt.close();
 
   finalize_campaign(result, snapshots, options);

@@ -77,7 +77,10 @@ enum class Backend {
   /// isolation: a worker that dies (crash, kill -9, _exit) fails only
   /// its own trials. ByIndex shares are static; Dynamic indices are fed
   /// over a per-worker command pipe, a window of 4 outstanding per
-  /// worker, so a death costs at most 4 Dynamic trials.
+  /// worker, so a death costs at most 4 Dynamic trials — unless no
+  /// worker is left, when every position not yet handed out fails too.
+  /// Such losses count in CampaignResult::lost and are never
+  /// checkpointed.
   Process,
 };
 
@@ -115,9 +118,19 @@ struct CampaignOptions {
   /// instead of the derived substreams (for reproducing legacy runs).
   bool derive_seeds = true;
   /// Per-trial-completion heartbeat; empty = no reporting. Runs on worker
-  /// threads but never concurrently with itself.
+  /// threads but never concurrently with itself, and `completed` rises by
+  /// exactly one per call, from the resumed count to the trial count.
   std::function<void(const Progress&)> on_progress;
+  /// Crash-safety fault injection: when ≥ 0, only this many more record
+  /// bytes reach the checkpoint; the append that crosses the line is cut
+  /// mid-frame and the process _exit()s with kCheckpointFaultExit — a
+  /// deterministic stand-in for kill -9 landing inside a checkpoint
+  /// write. Needs checkpoint_path; negative disables it.
+  int64_t checkpoint_fault_budget = -1;
 };
+
+/// Exit status of a process whose checkpoint_fault_budget ran out.
+inline constexpr int kCheckpointFaultExit = 86;
 
 /// A trial is flagged slow when its wall time exceeds this multiple of
 /// the campaign's median trial wall time (see CampaignResult::
@@ -164,6 +177,9 @@ struct CampaignResult {
   size_t failures = 0;
   /// Trials restored from a checkpoint instead of executed this run.
   size_t resumed = 0;
+  /// Trials lost to a worker death this run (Backend::Process): error
+  /// rows that are never checkpointed, so a resume re-runs exactly them.
+  size_t lost = 0;
   /// Campaign-health telemetry: per-worker trial counts and busy time,
   /// wall-clock phase profile (setup/run/finish/teardown), trial wall-time
   /// distribution, slow-trial count, and (set by run() when any trial
@@ -217,9 +233,9 @@ size_t resolve_threads(size_t requested);
 /// phase profile; failed/error when an exception escapes). When the
 /// trial's config enables observability, `*snapshot` receives the
 /// testbed's metrics registry itself (Testbed::release_metrics, no
-/// copy). Exposed so the process-shard workers and
-/// sm-campaign-worker execute exactly what the thread pool executes —
-/// byte-identity across backends reduces to this being the same code.
+/// copy). The process-shard workers execute exactly what the thread pool
+/// executes — byte-identity across backends reduces to this being the
+/// same code.
 void execute_trial(const Trial& trial, size_t index,
                    const CampaignOptions& options, TrialResult& slot,
                    std::unique_ptr<obs::Registry>* snapshot);
@@ -229,8 +245,8 @@ void execute_trial(const Trial& trial, size_t index,
 /// folded in trial-index order), counts failures, and derives the
 /// telemetry registry + slow-trial list from the wall clocks of the
 /// trials that actually ran this run. `snapshots` is indexed by trial
-/// (null = observability off for that trial). Exposed so sm-campaignd
-/// can finalize a campaign it reassembled from per-shard checkpoints.
+/// (null = observability off for that trial). Exposed so a caller that
+/// reassembles trials outside run() finalizes them the same way.
 /// `options` is unused; it stays for callers that still pass it.
 void finalize_campaign(
     CampaignResult& result,

@@ -88,8 +88,9 @@ struct CheckpointState {
   CheckpointMeta meta;
   std::map<size_t, DecodedTrial> trials;
   /// Later records for an index a prior record already covered (two
-  /// writers racing — prevented by the worker flock, but never merged
-  /// silently if it happens: first record wins, duplicates counted).
+  /// writers racing — prevented by sm-campaignd's lock on its --dir, but
+  /// never merged silently if it happens: first record wins, duplicates
+  /// counted).
   size_t duplicates = 0;
 };
 

@@ -113,7 +113,7 @@ void run_process_shards(
     const std::vector<Trial>& trials, const CampaignOptions& options,
     const std::vector<size_t>& pending, CampaignResult& result,
     std::vector<std::unique_ptr<obs::Registry>>& snapshots,
-    CheckpointFile* checkpoint, std::atomic<size_t>* completed) {
+    CheckpointFile* checkpoint, size_t* completed) {
   if (pending.empty()) return;
   SigpipeGuard sigpipe;
   const bool dynamic = options.shard == Shard::Dynamic;
@@ -150,7 +150,7 @@ void run_process_shards(
     common::proc::close_fd(slot.cmd.rd);
   }
 
-  size_t next_pos = 0;  // Dynamic feed cursor
+  size_t next_pos = 0;  // first position not yet handed to a worker
   auto feed = [&](size_t w) {
     // Hand worker w one more position, or close its command stream when
     // the list is drained (positions already in the pipe are still read
@@ -177,7 +177,37 @@ void run_process_shards(
     for (size_t w = 0; w < workers; ++w)
       for (size_t pos = w; pos < pending.size(); pos += workers)
         ws[w].outstanding.push_back(pos);
+    next_pos = pending.size();
   }
+
+  auto report = [&](size_t i, int worker, common::Duration wall) {
+    ++*completed;
+    if (!options.on_progress) return;
+    Progress prog;
+    prog.completed = *completed;
+    prog.total = trials.size();
+    prog.trial = i;
+    prog.worker = worker;
+    prog.failed = result.trials[i].failed;
+    prog.wall = wall;
+    options.on_progress(prog);
+  };
+
+  // A position no worker finished becomes an error row — failed alone,
+  // counted as lost, never checkpointed, re-run by the next resume.
+  auto lose = [&](size_t pos, int worker, const std::string& error) {
+    size_t i = pending[pos];
+    TrialResult& t = result.trials[i];
+    t.index = i;
+    t.name = trials[i].name;
+    t.worker = worker;
+    t.failed = true;
+    t.error = error;
+    ++result.lost;
+    common::log_warn("campaign",
+                     "trial " + std::to_string(i) + " lost: " + t.error);
+    report(i, worker, {});
+  };
 
   auto record_done = [&](size_t w, std::span<const uint8_t> payload) {
     common::ByteReader r(payload);
@@ -223,23 +253,12 @@ void run_process_shards(
         break;
       }
     }
-    size_t done = completed->fetch_add(1, std::memory_order_relaxed) + 1;
-    if (options.on_progress) {
-      Progress prog;
-      prog.completed = done;
-      prog.total = trials.size();
-      prog.trial = i;
-      prog.worker = static_cast<int>(w);
-      prog.failed = result.trials[i].failed;
-      prog.wall = wall_elapsed;
-      options.on_progress(prog);
-    }
+    report(i, static_cast<int>(w), wall_elapsed);
     feed(w);
   };
 
-  // A worker whose stream ended (EOF, or poisoned frames) is reaped; its
-  // unfinished positions become error rows — failed alone, never
-  // checkpointed, re-run by the next resume.
+  // A worker whose stream ended (EOF, or poisoned frames) is reaped and
+  // loses its unfinished positions.
   auto retire_worker = [&](size_t w, const std::string& cause) {
     WorkerSlot& slot = ws[w];
     if (!slot.open) return;
@@ -250,28 +269,10 @@ void run_process_shards(
     if (slot.outstanding.empty() && slot.status.clean() && cause.empty())
       return;
     std::string reason = cause.empty() ? slot.status.describe() : cause;
-    for (size_t pos : slot.outstanding) {
-      size_t i = pending[pos];
-      TrialResult& t = result.trials[i];
-      t.index = i;
-      t.name = trials[i].name;
-      t.worker = static_cast<int>(w);
-      t.failed = true;
-      t.error = common::format("worker %zu %s before trial completed", w,
-                               reason.c_str());
-      common::log_warn("campaign",
-                       "trial " + std::to_string(i) + " lost: " + t.error);
-      size_t done = completed->fetch_add(1, std::memory_order_relaxed) + 1;
-      if (options.on_progress) {
-        Progress prog;
-        prog.completed = done;
-        prog.total = trials.size();
-        prog.trial = i;
-        prog.worker = static_cast<int>(w);
-        prog.failed = true;
-        options.on_progress(prog);
-      }
-    }
+    for (size_t pos : slot.outstanding)
+      lose(pos, static_cast<int>(w),
+           common::format("worker %zu %s before trial completed", w,
+                          reason.c_str()));
     slot.outstanding.clear();
   };
 
@@ -348,6 +349,10 @@ void run_process_shards(
       }
     }
   }
+  // Every worker is gone; Dynamic positions never handed out have no
+  // one left to run them.
+  while (next_pos < pending.size())
+    lose(next_pos++, -1, "no live worker left");
 }
 
 }  // namespace sm::campaign

@@ -30,10 +30,10 @@
 // the windows fill round-robin, and each frame that comes back buys its
 // worker one more position, so a worker never idles while the controller
 // decodes its last frame. A dead worker fails exactly the positions it
-// still owed (at most the window).
+// still owed (at most the window); once no worker is left, the positions
+// never handed out fail too ("no live worker left").
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -46,13 +46,14 @@ namespace sm::campaign {
 /// worker processes, filling result.trials slots and `snapshots` as
 /// framed records arrive. Each completed record is appended to
 /// `checkpoint` (when non-null) before on_progress fires; worker-crash
-/// casualties get error rows naming the exit status and are NOT
-/// checkpointed. `completed` is the campaign-wide progress counter
-/// (already primed with the resumed count).
+/// casualties get error rows naming the exit status, count in
+/// result.lost and are NOT checkpointed. `completed` is the campaign-wide progress count
+/// (already primed with the resumed count); the controller is one
+/// thread, so it advances it by one before each on_progress call.
 void run_process_shards(
     const std::vector<Trial>& trials, const CampaignOptions& options,
     const std::vector<size_t>& pending, CampaignResult& result,
     std::vector<std::unique_ptr<obs::Registry>>& snapshots,
-    CheckpointFile* checkpoint, std::atomic<size_t>* completed);
+    CheckpointFile* checkpoint, size_t* completed);
 
 }  // namespace sm::campaign

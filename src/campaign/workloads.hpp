@@ -1,12 +1,12 @@
 // Named campaign workloads: trial lists rebuildable from a short string
 // spec.
 //
-// The supervisor path is fork+exec — sm-campaignd launches
-// sm-campaign-worker binaries — and ProbeFactory closures cannot cross
-// an exec boundary. What can cross is a name: both sides call
-// build_workload(spec) and get the identical trial list, and the
-// checkpoint layer's workload digest (CRC over the ordered trial names)
-// catches the case where they somehow did not.
+// A command line cannot hold ProbeFactory closures, but it can hold a
+// name: sm-campaignd passes its --workload spec here and hands the list
+// to campaign::run, whose process workers fork without exec and so
+// inherit it, closures included. A relaunch rebuilds the identical list
+// from the same spec, and the checkpoint layer's workload digest (CRC
+// over the ordered trial names) refuses a checkpoint written for another.
 #pragma once
 
 #include <string>

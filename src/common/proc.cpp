@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 
 namespace sm::common::proc {
 
@@ -51,28 +50,14 @@ pid_t fork_child(const std::function<int()>& body) {
   _exit(code);
 }
 
-pid_t spawn(const std::vector<std::string>& argv, int stdout_fd) {
-  std::fflush(stdout);
-  std::fflush(stderr);
-  pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  if (stdout_fd >= 0) {
-    while (::dup2(stdout_fd, STDOUT_FILENO) < 0 && errno == EINTR) {
-    }
-  }
-  std::vector<char*> args;
-  args.reserve(argv.size() + 1);
-  for (const std::string& a : argv) args.push_back(const_cast<char*>(a.c_str()));
-  args.push_back(nullptr);
-  ::execv(args[0], args.data());
-  std::fprintf(stderr, "exec %s: %s\n", args[0], std::strerror(errno));
-  _exit(127);
-}
-
-namespace {
-
-ExitStatus decode(int status) {
+ExitStatus wait_child(pid_t pid) {
+  int status = 0;
+  pid_t r;
+  do {
+    r = ::waitpid(pid, &status, 0);
+  } while (r < 0 && errno == EINTR);
   ExitStatus st;
+  if (r < 0) return st;
   if (WIFEXITED(status)) {
     st.exited = true;
     st.code = WEXITSTATUS(status);
@@ -81,29 +66,6 @@ ExitStatus decode(int status) {
     st.sig = WTERMSIG(status);
   }
   return st;
-}
-
-}  // namespace
-
-ExitStatus wait_child(pid_t pid) {
-  int status = 0;
-  pid_t r;
-  do {
-    r = ::waitpid(pid, &status, 0);
-  } while (r < 0 && errno == EINTR);
-  if (r < 0) return {};
-  return decode(status);
-}
-
-bool try_wait_child(pid_t pid, ExitStatus* out) {
-  int status = 0;
-  pid_t r;
-  do {
-    r = ::waitpid(pid, &status, WNOHANG);
-  } while (r < 0 && errno == EINTR);
-  if (r != pid) return false;
-  *out = decode(status);
-  return true;
 }
 
 bool write_exact(int fd, const void* data, size_t len) {
@@ -126,14 +88,6 @@ ssize_t read_some(int fd, void* buf, size_t len) {
     n = ::read(fd, buf, len);
   } while (n < 0 && errno == EINTR);
   return n;
-}
-
-std::string self_exe_path() {
-  char buf[4096];
-  ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  return std::string(buf);
 }
 
 }  // namespace sm::common::proc

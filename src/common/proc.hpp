@@ -1,6 +1,5 @@
 // Thin POSIX process-lifecycle helpers for the campaign's process-shard
-// backend and the sm-campaignd supervisor: pipes, fork (with and without
-// exec), and wait-status decoding.
+// backend: pipes, fork without exec, and wait-status decoding.
 //
 // The shapes mirror classic shell job control: a controller owns one
 // command/result pipe pair per child, children are reaped with waitpid,
@@ -13,12 +12,11 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 namespace sm::common::proc {
 
-/// An anonymous pipe; fds are close-on-exec so they never leak into
-/// exec'd grandchildren. Close ends you hand to the other side.
+/// An anonymous pipe (fds close-on-exec). Close ends you hand to the
+/// other side.
 struct Pipe {
   int rd = -1;
   int wr = -1;
@@ -46,26 +44,13 @@ struct ExitStatus {
 /// twice. Returns the child pid, or -1 on fork failure.
 pid_t fork_child(const std::function<int()>& body);
 
-/// fork + execv. `argv[0]` is the binary path. When `stdout_fd` >= 0 the
-/// child's stdout is redirected there (the supervisor reads worker
-/// heartbeats through this). Returns the child pid, or -1 on failure;
-/// an exec failure surfaces as the child exiting 127.
-pid_t spawn(const std::vector<std::string>& argv, int stdout_fd = -1);
-
 /// Blocking waitpid (EINTR-proof).
 ExitStatus wait_child(pid_t pid);
-/// Non-blocking reap; returns true (and fills `out`) once the child
-/// changed state.
-bool try_wait_child(pid_t pid, ExitStatus* out);
 
 /// write(2) until every byte landed; false on error (EPIPE included —
 /// callers treat a vanished reader as a dead peer, not a crash).
 bool write_exact(int fd, const void* data, size_t len);
 /// One read(2), EINTR-retried: >0 bytes, 0 on EOF, -1 on error.
 ssize_t read_some(int fd, void* buf, size_t len);
-
-/// Absolute path of the running executable (/proc/self/exe); empty on
-/// failure. The supervisor locates its worker binary next to itself.
-std::string self_exe_path();
 
 }  // namespace sm::common::proc

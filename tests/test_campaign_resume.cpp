@@ -3,9 +3,11 @@
 // replayed, never merged), only missing trials re-execute, and the
 // process-shard backend is byte-identical to the thread pool at any -j
 // in both shard modes — with a worker death costing exactly its own
-// trials. The end-to-end kill -9 variants (sm-campaignd + harness) live
-// in tools/crash_harness.py, driven by `ci.sh resume`.
+// trials, and the checkpoint fault hook cutting a record mid-frame. The
+// end-to-end kill -9 variants (sm-campaignd + harness) live in
+// tools/crash_harness.py, driven by `ci.sh resume`.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -317,6 +319,7 @@ TEST(CampaignResume, WorkerDeathFailsOnlyItsOwnTrials) {
   options.backend = campaign::Backend::Process;
   campaign::CampaignResult r = campaign::run(trials, options);
   EXPECT_EQ(r.failures, 4u);
+  EXPECT_EQ(r.lost, 4u);
   for (size_t i = 0; i < r.trials.size(); ++i) {
     if (i % 2 == 0) {
       EXPECT_FALSE(r.trials[i].failed) << i;
@@ -367,9 +370,11 @@ TEST(CampaignResume, WorkerCrashCasualtiesRerunOnResume) {
   const std::vector<std::string> rows = split_lines(crashed.to_jsonl());
   ASSERT_EQ(rows.size(), ref_rows.size());
   campaign::CheckpointState state = campaign::load_checkpoint(path);
+  size_t casualties = 0;
   for (size_t i = 0; i < crashing.size(); ++i) {
     const campaign::TrialResult& t = crashed.trials[i];
     if (t.failed) {
+      ++casualties;
       EXPECT_EQ(t.worker, victim) << i;
       EXPECT_EQ(t.error, cause) << i;
       EXPECT_FALSE(state.trials.count(i)) << "casualty " << i;
@@ -379,6 +384,8 @@ TEST(CampaignResume, WorkerCrashCasualtiesRerunOnResume) {
     }
   }
   EXPECT_EQ(state.trials.size(), crashing.size() - crashed.failures);
+  // The re-run count a supervisor reads: exactly the casualty rows.
+  EXPECT_EQ(crashed.lost, casualties);
 
   // Same campaign identity (names + seed), healthy factories: the resume
   // fills exactly the holes.
@@ -387,8 +394,177 @@ TEST(CampaignResume, WorkerCrashCasualtiesRerunOnResume) {
   resume.checkpoint_path = path;
   campaign::CampaignResult healed = campaign::run(good, resume);
   EXPECT_EQ(healed.failures, 0u);
+  EXPECT_EQ(healed.lost, 0u);
   EXPECT_EQ(healed.resumed, state.trials.size());
   EXPECT_EQ(healed.to_jsonl(), ref_jsonl);
+  std::remove(path.c_str());
+}
+
+TEST(CampaignResume, EveryWorkerDeadLeavesErrorRowsNotBlankOnes) {
+  // Both Dynamic workers die on their first trial. The positions they
+  // owed fail as casualties; the positions never handed out have no
+  // worker left to run them and must fail as well — named, counted as
+  // lost, kept out of the checkpoint — never stay default slots that
+  // serialize as nameless "inconclusive" successes.
+  auto good = campaign::build_workload("synthetic:24");
+  campaign::CampaignOptions serial;
+  serial.threads = 1;
+  const std::string ref_jsonl = campaign::run(good, serial).to_jsonl();
+
+  auto crashing = campaign::build_workload("synthetic:24");
+  for (size_t i : {size_t{0}, size_t{1}}) {
+    crashing[i].factory = [](core::Testbed&) -> std::unique_ptr<core::Probe> {
+      ::_exit(9);
+    };
+  }
+  const std::string path = temp_path("alldead");
+  std::remove(path.c_str());
+  campaign::CampaignOptions options;
+  options.threads = 2;
+  options.backend = campaign::Backend::Process;
+  options.shard = campaign::Shard::Dynamic;
+  options.checkpoint_path = path;
+  std::vector<size_t> reports;
+  options.on_progress = [&](const campaign::Progress& p) {
+    reports.push_back(p.completed);
+  };
+  campaign::CampaignResult r = campaign::run(crashing, options);
+  EXPECT_EQ(r.failures, crashing.size());
+  EXPECT_EQ(r.lost, crashing.size());
+  size_t orphaned = 0;
+  for (size_t i = 0; i < crashing.size(); ++i) {
+    const campaign::TrialResult& t = r.trials[i];
+    EXPECT_EQ(t.index, i);
+    EXPECT_EQ(t.name, crashing[i].name) << i;
+    EXPECT_TRUE(t.failed) << i;
+    if (t.error == "no live worker left") {
+      ++orphaned;
+      EXPECT_EQ(t.worker, -1) << i;
+    } else {
+      EXPECT_EQ(t.error, "worker " + std::to_string(t.worker) +
+                             " exited 9 before trial completed")
+          << i;
+    }
+  }
+  // Each worker was handed at most its window of 4 positions.
+  EXPECT_GE(orphaned, crashing.size() - 8);
+  EXPECT_EQ(r.metrics_json().find("inconclusive"), std::string::npos);
+  ASSERT_EQ(reports.size(), crashing.size());
+  for (size_t k = 0; k < reports.size(); ++k) EXPECT_EQ(reports[k], k + 1);
+  EXPECT_TRUE(campaign::load_checkpoint(path).trials.empty());
+
+  // Nothing was checkpointed, so the resume runs every trial.
+  campaign::CampaignOptions resume;
+  resume.threads = 2;
+  resume.checkpoint_path = path;
+  campaign::CampaignResult healed = campaign::run(good, resume);
+  EXPECT_EQ(healed.resumed, 0u);
+  EXPECT_EQ(healed.to_jsonl(), ref_jsonl);
+  std::remove(path.c_str());
+}
+
+TEST(CampaignResume, ProgressCountsUpByOneFromTheResumedBase) {
+  // Each on_progress call reports exactly one more completed trial than
+  // the last, starting just above the resumed count and ending at the
+  // total, on either backend — even when workers finish together.
+  auto trials = campaign::build_workload("synthetic:96");
+  const std::string full = temp_path("progress_full");
+  std::remove(full.c_str());
+  campaign::CampaignOptions plain;
+  plain.threads = 2;
+  plain.checkpoint_path = full;
+  campaign::run(trials, plain);
+  constexpr size_t kResumed = 10;
+
+  for (auto backend :
+       {campaign::Backend::Thread, campaign::Backend::Process}) {
+    const bool process = backend == campaign::Backend::Process;
+    for (int round = 0; round < (process ? 1 : 4); ++round) {
+      const std::string prefix = temp_path("progress_prefix");
+      prefix_checkpoint(full, prefix, kResumed);
+      campaign::CampaignOptions options;
+      options.threads = process ? 3 : 4;
+      options.backend = backend;
+      options.shard = campaign::Shard::Dynamic;
+      options.checkpoint_path = prefix;
+      std::vector<size_t> reports;
+      options.on_progress = [&](const campaign::Progress& p) {
+        EXPECT_EQ(p.total, trials.size());
+        reports.push_back(p.completed);
+      };
+      campaign::CampaignResult r = campaign::run(trials, options);
+      EXPECT_EQ(r.resumed, kResumed);
+      ASSERT_EQ(reports.size(), trials.size() - kResumed);
+      for (size_t k = 0; k < reports.size(); ++k)
+        ASSERT_EQ(reports[k], kResumed + k + 1)
+            << (process ? "process" : "thread") << " round " << round
+            << " report " << k;
+      std::remove(prefix.c_str());
+    }
+  }
+  std::remove(full.c_str());
+}
+
+TEST(CampaignResume, CheckpointFaultBudgetExitsMidFrameAndResumes) {
+  // The fault hook of CampaignOptions: a process-backend run whose
+  // checkpoint writer runs out of budget 13 bytes into its fourth trial
+  // record must die with kCheckpointFaultExit, leaving three whole
+  // records and a torn tail; the resume must truncate the tail, re-run
+  // the rest and match thread -j1 byte for byte.
+  auto trials = campaign::build_workload("synthetic:12");
+  campaign::CampaignOptions serial;
+  serial.threads = 1;
+  const std::string ref_jsonl = campaign::run(trials, serial).to_jsonl();
+
+  // One worker relays records in index order, so frame offsets from a
+  // full checkpoint say where the budget lands.
+  campaign::CampaignOptions options;
+  options.threads = 1;
+  options.backend = campaign::Backend::Process;
+  options.shard = campaign::Shard::Dynamic;
+  const std::string full = temp_path("fault_full");
+  std::remove(full.c_str());
+  options.checkpoint_path = full;
+  campaign::run(trials, options);
+  const std::string bytes = read_file(full);
+  const int64_t budget = static_cast<int64_t>(
+      frame_end_offset(bytes, 3) + 13 - frame_end_offset(bytes, 0));
+
+  const std::string path = temp_path("fault");
+  std::remove(path.c_str());
+  options.checkpoint_path = path;
+  options.checkpoint_fault_budget = budget;
+  std::fflush(nullptr);
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      campaign::run(trials, options);
+    } catch (...) {
+      ::_exit(1);
+    }
+    ::_exit(0);  // the fault never fired
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), campaign::kCheckpointFaultExit);
+
+  campaign::CheckpointState state = campaign::load_checkpoint(path);
+  EXPECT_TRUE(state.torn);
+  EXPECT_EQ(state.trials.size(), 3u);
+  EXPECT_EQ(state.valid_bytes, frame_end_offset(bytes, 3));
+
+  campaign::CampaignOptions resume;
+  resume.threads = 2;
+  resume.backend = campaign::Backend::Process;
+  resume.shard = campaign::Shard::Dynamic;
+  resume.checkpoint_path = path;
+  campaign::CampaignResult r = campaign::run(trials, resume);
+  EXPECT_EQ(r.resumed, 3u);
+  EXPECT_EQ(r.to_jsonl(), ref_jsonl);
+  EXPECT_FALSE(campaign::load_checkpoint(path).torn);
+  std::remove(full.c_str());
   std::remove(path.c_str());
 }
 

@@ -12,18 +12,25 @@ Procedure:
   1. baseline: run sm-campaignd to completion in a pristine dir.
   2. chaos: in a second dir, launch sm-campaignd (its own process
      group), sleep a seeded-random interval, then kill -9 either one
-     worker (the supervisor must restart it; counts as a kill but the
-     supervisor keeps running) or the entire group (counts as a kill and
-     forces a full resume).  The first few launches also arm
-     --fault-byte-budget, so some deaths land mid-checkpoint-write and
-     leave torn frame tails that the resume must truncate and replay.
+     worker (a child of the supervisor, read from
+     /proc/<pid>/task/<pid>/children; the supervisor re-runs the trials
+     it lost and keeps running) or the entire group (forces a full
+     resume).  Launches also arm --fault-byte-budget until
+     --fault-rounds planned faults have fired (the supervisor exits 86
+     with a torn checkpoint tail that the resume must truncate and
+     replay).  Once, between launches, the harness holds the campaign's
+     lock itself and requires a launch to exit 3 without touching the
+     checkpoint.
   3. once the campaign survives to completion with at least --kills
-     kills injected, byte-compare out.jsonl and metrics.json against the
+     kills injected (at least one of each kind) and every planned fault
+     fired, byte-compare out.jsonl and metrics.json against the
      baseline.
 
-Kill intervals adapt: if the campaign is completing faster than kills
-are being spent, the sleep shrinks so the budget lands before the
-trials run out.  All randomness flows from --seed for replayable runs.
+Kill intervals adapt: a launch's kill clock starts once its workers
+exist (the supervisor first builds the workload and loads the
+checkpoint), and if the campaign is completing faster than kills are
+being spent, the sleep shrinks so the budget lands before the trials run
+out.  All randomness flows from --seed for replayable runs.
 
 Usage:
     tools/crash_harness.py --build build [--trials 10000] [--jobs 4]
@@ -33,6 +40,7 @@ Exit 0 on byte-identical output, 1 on any mismatch or stuck campaign.
 """
 
 import argparse
+import fcntl
 import os
 import random
 import shutil
@@ -64,17 +72,51 @@ def run_baseline(daemon, workload, jobs, seed, dirpath):
     return out, metrics, elapsed
 
 
-def read_worker_pids(dirpath):
+# Exit status of a launch whose planned checkpoint fault fired
+# (campaign::kCheckpointFaultExit) and of a launch refused by the lock.
+FAULT_EXIT = 86
+LOCKED_EXIT = 3
+
+
+def read_worker_pids(sup_pid):
+    """Live (non-zombie) children of the supervisor: its workers."""
     pids = []
     try:
-        with open(os.path.join(dirpath, "d", "workers.pids")) as f:
-            for line in f:
-                parts = line.split()
-                if len(parts) == 2:
-                    pids.append(int(parts[1]))
+        with open(f"/proc/{sup_pid}/task/{sup_pid}/children") as f:
+            children = [int(p) for p in f.read().split()]
     except OSError:
-        pass
+        return pids
+    for pid in children:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                state = f.read().rsplit(")", 1)[1].split()[0]
+        except (OSError, IndexError):
+            continue
+        if state != "Z":
+            pids.append(pid)
     return pids
+
+
+def check_lock_refusal(cmd, dirpath):
+    """A launch on a --dir whose lock someone else holds must exit 3 and
+    leave the checkpoint's bytes as they were."""
+    ckpt = os.path.join(dirpath, "campaign.ckpt")
+    with open(ckpt, "rb") as f:
+        before = f.read()
+    with open(os.path.join(dirpath, "campaign.lock"), "a") as lock:
+        fcntl.lockf(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        rc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL).returncode
+        fcntl.lockf(lock, fcntl.LOCK_UN)
+    with open(ckpt, "rb") as f:
+        after = f.read()
+    if rc != LOCKED_EXIT or after != before:
+        log(f"locked launch exited {rc} (want {LOCKED_EXIT}), checkpoint "
+            f"{'unchanged' if after == before else 'CHANGED'}")
+        return False
+    log(f"locked launch refused (exit {rc}), checkpoint unchanged "
+        f"({len(before)} bytes)")
+    return True
 
 
 def kill_pid(pid, group=False):
@@ -99,7 +141,7 @@ def main():
                     help="minimum kill -9 injections before completion")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--fault-rounds", type=int, default=3,
-                    help="launches that also arm a mid-write fault")
+                    help="planned mid-write faults that must fire")
     ap.add_argument("--max-launches", type=int, default=200,
                     help="bound on supervisor launches (stuck detector)")
     ap.add_argument("--workdir", default=None)
@@ -128,40 +170,50 @@ def main():
         daemon, workload, args.jobs, args.seed, base_dir)
 
     # Budget the kill cadence so ~all kills are spent within roughly one
-    # uninterrupted-campaign duration of useful progress.
+    # uninterrupted-campaign duration of work (time with workers alive).
     mean_interval = max(0.05, base_elapsed / max(1, args.kills))
     chaos_out = os.path.join(chaos_dir, "out.jsonl")
     chaos_metrics = os.path.join(chaos_dir, "metrics.json")
-    cmd = [daemon, "--workload", workload,
-           "--dir", os.path.join(chaos_dir, "d"),
+    chaos_d = os.path.join(chaos_dir, "d")
+    cmd = [daemon, "--workload", workload, "--dir", chaos_d,
            "--out", chaos_out, "--metrics-out", chaos_metrics,
            "-j", str(args.jobs), "--seed", str(args.seed)]
 
     kills = 0
     worker_kills = 0
     group_kills = 0
-    fault_rounds = 0
+    armed = 0
+    fired = 0
+    lock_checked = False
     launches = 0
-    progress = time.monotonic()
+    work = 0.0
     while True:
+        if not lock_checked and os.path.exists(
+                os.path.join(chaos_d, "campaign.ckpt")):
+            if not check_lock_refusal(cmd, chaos_d):
+                return 1
+            lock_checked = True
         launches += 1
         if launches > args.max_launches:
             log(f"stuck: {launches} launches without completion")
             return 1
         launch_cmd = list(cmd)
-        if fault_rounds < args.fault_rounds:
-            # Arm a planned mid-checkpoint-write crash on a random shard.
+        if fired < args.fault_rounds:
+            # Arm a planned mid-checkpoint-write crash.
             launch_cmd += ["--fault-byte-budget",
-                           str(rng.randrange(64, 4096)),
-                           "--fault-shard", str(rng.randrange(args.jobs))]
-            fault_rounds += 1
+                           str(rng.randrange(64, 4096))]
+            armed += 1
         sup = subprocess.Popen(launch_cmd, stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL,
                                start_new_session=True)
+        while sup.poll() is None and not read_worker_pids(sup.pid):
+            time.sleep(0.001)
+        started = time.monotonic()
         while True:
             # Adaptive cadence: spend remaining kills before the trials
             # run out (scaled down as the campaign nears completion).
-            frac = min(1.0, (time.monotonic() - progress) / base_elapsed)
+            elapsed = work + time.monotonic() - started
+            frac = min(1.0, elapsed / base_elapsed)
             urgency = 1.0 if kills >= args.kills else max(
                 0.15, (1.0 - frac))
             interval = rng.uniform(0.3, 1.7) * mean_interval * urgency
@@ -172,7 +224,7 @@ def main():
             if kills >= args.kills:
                 continue  # let it finish undisturbed
             if rng.random() < 0.4:
-                pids = read_worker_pids(chaos_dir)
+                pids = read_worker_pids(sup.pid)
                 if pids and kill_pid(rng.choice(pids)):
                     kills += 1
                     worker_kills += 1
@@ -186,17 +238,24 @@ def main():
             sup.wait()
             break
         rc = sup.wait()
+        work += time.monotonic() - started
         if rc == 0:
             break
-        if rc not in (0, -signal.SIGKILL):
-            # Planned faults surface as worker exit 86 handled by the
-            # supervisor, so any nonzero supervisor exit is a real bug.
+        if rc == FAULT_EXIT:
+            fired += 1
+            log(f"planned fault #{fired} fired (launch {launches})")
+        elif rc != -signal.SIGKILL:
             log(f"supervisor exited {rc} (launch {launches})")
             return 1
 
-    if kills < args.kills:
-        log(f"campaign finished with only {kills}/{args.kills} kills -- "
-            f"increase --trials")
+    log(f"{kills} kills ({worker_kills} worker, {group_kills} group), "
+        f"{fired} fired faults ({armed} armed launches), "
+        f"{launches} launches")
+    if kills < args.kills or not worker_kills or not group_kills or \
+            fired < args.fault_rounds or not lock_checked:
+        log(f"campaign finished before every fault kind landed "
+            f"(want {args.kills} kills of both kinds, {args.fault_rounds} "
+            f"fired faults, the lock check) -- increase --trials")
         return 1
 
     ok = True
@@ -207,8 +266,6 @@ def main():
         else:
             log(f"{label}: MISMATCH ({a} vs {b})")
             ok = False
-    log(f"{kills} kills ({worker_kills} worker, {group_kills} group), "
-        f"{fault_rounds} armed faults, {launches} launches")
     if ok and not args.keep and args.workdir is None:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0 if ok else 1
