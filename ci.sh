@@ -25,7 +25,8 @@
 #      kill -9s a Release 10k-trial sm-campaignd campaign at >= 20
 #      seeded random points (workers, whole process group, and planned
 #      mid-checkpoint-write faults) and requires the resumed output to
-#      be byte-identical to an uninterrupted run;
+#      be byte-identical to an uninterrupted run, and a relaunch on the
+#      finished campaign to stay within 1.25x its peak memory;
 #   7. tier-1 verify: the plain default build + ctest, exactly the
 #      commands ROADMAP.md promises stay green;
 #   8. bench: the repository benchmark's self-test (perfbench/selftest.py)
@@ -179,7 +180,9 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "resume" ]; then
   # mid-checkpoint-write), resume each time by relaunching sm-campaignd,
   # check once that a launch on a locked --dir exits 3 and leaves the
   # checkpoint alone, and byte-diff the final JSONL + metrics against an
-  # uninterrupted run. Bounded by the harness's --max-launches stuck
+  # uninterrupted run; then relaunch once on the finished --dir, byte-diff
+  # again, and require its largest process to peak at <= 1.25x the
+  # uninterrupted run's. Bounded by the harness's --max-launches stuck
   # detector; seeded for replayability.
   cmake -B "$ROOT/build-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$ROOT/build-release" -j --target sm-campaignd

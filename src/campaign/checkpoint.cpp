@@ -197,30 +197,31 @@ void decode_record(std::span<const uint8_t> payload, CheckpointMeta* meta,
 }
 
 CheckpointState load_checkpoint(const std::string& path) {
-  common::RecordScan scan = common::scan_records(path, kCheckpointTag);
-  if (!scan.ok()) throw std::runtime_error("checkpoint: " + scan.error);
   CheckpointState state;
+  // Each payload decodes straight out of the scan's payload buffer: the
+  // file and the payloads are never held alongside the decoded trials.
+  common::RecordScan scan = common::scan_records(
+      path, kCheckpointTag, [&state](std::span<const uint8_t> payload) {
+        bool is_meta = false;
+        CheckpointMeta meta;
+        DecodedTrial trial;
+        decode_record(payload, &meta, &trial, &is_meta);
+        if (is_meta) {
+          if (!state.has_meta) {
+            state.meta = meta;
+            state.has_meta = true;
+          }
+          return;
+        }
+        size_t index = trial.result.index;
+        if (!state.trials.try_emplace(index, std::move(trial)).second)
+          ++state.duplicates;
+      });
+  if (!scan.ok()) throw std::runtime_error("checkpoint: " + scan.error);
   state.exists = scan.exists;
   state.torn = scan.torn;
   state.corrupt = scan.corrupt;
   state.valid_bytes = scan.valid_bytes;
-  for (const common::Bytes& payload : scan.records) {
-    bool is_meta = false;
-    CheckpointMeta meta;
-    DecodedTrial trial;
-    decode_record(payload, &meta, &trial, &is_meta);
-    if (is_meta) {
-      if (!state.has_meta) {
-        state.meta = meta;
-        state.has_meta = true;
-      }
-      continue;
-    }
-    size_t index = trial.result.index;
-    auto [it, inserted] = state.trials.try_emplace(index, std::move(trial));
-    if (!inserted) ++state.duplicates;
-    (void)it;
-  }
   return state;
 }
 

@@ -14,8 +14,12 @@
 // still sorted at export time (see flowrecords.cpp), so byte-identical
 // output never depends on table order in the first place.
 //
-// Requirements on K and V: default-constructible, copy/move-assignable.
-// Every key in this project is a small POD (addresses, tuples, ints).
+// Requirements on K and V: default-constructible, copy/move-assignable,
+// and default construction must not allocate: every slot, empty ones
+// included, holds a default-constructed pair, so a V that allocates on
+// construction (std::deque does, ~600 B) costs that much per slot of
+// capacity, not per entry. Every key in this project is a small POD
+// (addresses, tuples, ints).
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,13 @@
 #include "common/recordio.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 
 namespace sm::common {
 
@@ -71,42 +74,52 @@ uint32_t crc32(std::span<const uint8_t> data, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-RecordScan scan_records(const std::string& path, uint16_t app_tag) {
+RecordScan scan_records(const std::string& path, uint16_t app_tag,
+                        const RecordVisitor& visit) {
   RecordScan out;
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rbe"), &std::fclose);  // e: O_CLOEXEC
+  if (!file) {
     if (errno == ENOENT) return out;  // cold start
     out.error = "open " + path + ": " + std::strerror(errno);
     return out;
   }
   out.exists = true;
-  Bytes file;
-  uint8_t buf[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      out.error = "read " + path + ": " + std::strerror(errno);
-      ::close(fd);
-      return out;
-    }
-    if (n == 0) break;
-    file.insert(file.end(), buf, buf + n);
+  struct stat st {};
+  if (::fstat(::fileno(file.get()), &st) != 0) {
+    out.error = "stat " + path + ": " + std::strerror(errno);
+    return out;
   }
-  ::close(fd);
+  // The size bounds every length field before anything is allocated for
+  // it: a corrupt length past the end is a tear, not a huge buffer.
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  std::setvbuf(file.get(), nullptr, _IOFBF, 1 << 16);
+  // One payload buffer, grown only to the largest frame.
+  Bytes buf;
+  auto read = [&](size_t n) {
+    if (buf.size() < n) buf.resize(n);
+    return std::fread(buf.data(), 1, n, file.get());
+  };
+  auto read_failed = [&] {
+    if (!std::ferror(file.get())) return false;
+    out.error = "read " + path + ": " + std::strerror(errno);
+    return true;
+  };
 
-  if (file.size() < kHeaderSize) {
+  size_t got = read(kHeaderSize);
+  if (got < kHeaderSize) {
+    if (read_failed()) return out;
     // A header torn mid-write: nothing recoverable, rewrite from scratch.
-    out.torn = !file.empty();
+    out.torn = got > 0;
     out.valid_bytes = 0;
     return out;
   }
-  if (std::memcmp(file.data(), kMagic, 4) != 0) {
+  if (std::memcmp(buf.data(), kMagic, 4) != 0) {
     out.error = path + ": not a record file (bad magic)";
     return out;
   }
-  uint16_t version = static_cast<uint16_t>(file[4] << 8 | file[5]);
-  uint16_t tag = static_cast<uint16_t>(file[6] << 8 | file[7]);
+  uint16_t version = static_cast<uint16_t>(buf[4] << 8 | buf[5]);
+  uint16_t tag = static_cast<uint16_t>(buf[6] << 8 | buf[7]);
   if (version != kVersion) {
     out.error = path + ": unsupported record-file version " +
                 std::to_string(version);
@@ -118,31 +131,35 @@ RecordScan scan_records(const std::string& path, uint16_t app_tag) {
     return out;
   }
 
-  size_t pos = kHeaderSize;
+  uint64_t pos = kHeaderSize;
   out.valid_bytes = pos;
-  while (pos < file.size()) {
-    if (file.size() - pos < kFrameHeader) {
-      out.torn = true;
+  for (;;) {
+    uint8_t frame[kFrameHeader];
+    got = std::fread(frame, 1, kFrameHeader, file.get());
+    if (got < kFrameHeader) {
+      if (read_failed()) return out;
+      out.torn = got > 0;  // a clean end falls on a frame boundary
       break;
     }
-    uint32_t len = read_be32(file.data() + pos);
-    uint32_t want_crc = read_be32(file.data() + pos + 4);
+    uint32_t len = read_be32(frame);
+    uint32_t want_crc = read_be32(frame + 4);
     if (len > kMaxPayload) {
       // An impossible length is corruption, not a tear: the writer never
       // frames payloads this large.
       out.corrupt = true;
       break;
     }
-    if (file.size() - pos - kFrameHeader < len) {
+    if (pos + kFrameHeader + len > file_size || read(len) < len) {
+      if (read_failed()) return out;
       out.torn = true;
       break;
     }
-    std::span<const uint8_t> payload(file.data() + pos + kFrameHeader, len);
+    std::span<const uint8_t> payload(buf.data(), len);
     if (crc32(payload) != want_crc) {
       out.corrupt = true;
       break;
     }
-    out.records.emplace_back(payload.begin(), payload.end());
+    visit(payload);
     pos += kFrameHeader + len;
     out.valid_bytes = pos;
   }

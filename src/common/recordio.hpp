@@ -27,7 +27,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/bytes.hpp"
 
@@ -44,7 +43,6 @@ inline uint32_t crc32(std::string_view s, uint32_t seed = 0) {
 
 /// Result of scanning a record file's clean prefix.
 struct RecordScan {
-  std::vector<Bytes> records;  // whole, checksum-verified payloads
   /// Length in bytes of the clean prefix (header + whole frames). A
   /// recovering writer truncates/overwrites from here.
   uint64_t valid_bytes = 0;
@@ -52,14 +50,24 @@ struct RecordScan {
   bool torn = false;     // file ended inside a frame (crash mid-write)
   bool corrupt = false;  // a fully-present frame failed its checksum
   /// Non-empty on structural failure (unreadable, bad magic/version/tag);
-  /// records/valid_bytes are meaningless then.
+  /// valid_bytes is meaningless then.
   std::string error;
   bool ok() const { return error.empty(); }
 };
 
-/// Scans `path`, verifying every frame. Missing file: ok(), exists=false.
+/// Receives each whole, checksum-verified payload in file order. The
+/// span points into the scan's payload buffer and dies when the call
+/// returns. A visitor may throw; the scan then closes the file and
+/// rethrows.
+using RecordVisitor = std::function<void(std::span<const uint8_t>)>;
+
+/// Scans `path`, verifying every frame, and hands each payload of the
+/// clean prefix to `visit`. Frames stream through one payload buffer
+/// that grows only to the largest frame, so a scan never holds the whole
+/// file or a copy of its payloads. Missing file: ok(), exists=false.
 /// `app_tag` must match the header's (0 accepts any tag).
-RecordScan scan_records(const std::string& path, uint16_t app_tag = 0);
+RecordScan scan_records(const std::string& path, uint16_t app_tag,
+                        const RecordVisitor& visit);
 
 /// Append-only writer. open() on a fresh path writes the header; on an
 /// existing file it truncates to `valid_bytes` (from a prior scan) first,

@@ -1,17 +1,36 @@
 #include "netsim/host.hpp"
 
+#include <map>
 #include <utility>
+#include <vector>
 
 #include "netsim/engine.hpp"
 #include "obs/provenance.hpp"
+#include "packet/fragment.hpp"
 
 namespace sm::netsim {
+
+struct Host::Attachments {
+  std::map<uint16_t, UdpHandler> udp;
+  PacketHandler tcp;
+  PacketHandler icmp;
+  std::vector<std::pair<uint64_t, PacketHandler>> promiscuous;
+  uint64_t next_promiscuous_id = 0;
+  packet::Reassembler reassembler;
+};
 
 Host::Host(Engine& engine, std::string name, Ipv4Address address)
     : Node(std::move(name), NodeKind::Host),
       engine_(engine),
       address_(address),
       address6_(common::map_v6(address)) {}
+
+Host::~Host() = default;
+
+Host::Attachments& Host::attachments() {
+  if (!attached_) attached_ = std::make_unique<Attachments>();
+  return *attached_;
+}
 
 void Host::send(packet::Packet packet) {
   ++packets_sent_;
@@ -33,13 +52,30 @@ void Host::send_udp6(Ipv6Address dst, uint16_t src_port, uint16_t dst_port,
 }
 
 void Host::udp_bind(uint16_t port, UdpHandler handler) {
-  udp_handlers_[port] = std::move(handler);
+  attachments().udp[port] = std::move(handler);
 }
 
-void Host::udp_unbind(uint16_t port) { udp_handlers_.erase(port); }
+void Host::udp_unbind(uint16_t port) {
+  if (attached_) attached_->udp.erase(port);
+}
+
+void Host::set_tcp_handler(PacketHandler handler) {
+  attachments().tcp = std::move(handler);
+}
+
+void Host::set_icmp_handler(PacketHandler handler) {
+  attachments().icmp = std::move(handler);
+}
+
+uint64_t Host::add_promiscuous(PacketHandler handler) {
+  Attachments& a = attachments();
+  a.promiscuous.emplace_back(++a.next_promiscuous_id, std::move(handler));
+  return a.next_promiscuous_id;
+}
 
 void Host::remove_promiscuous(uint64_t id) {
-  std::erase_if(promiscuous_,
+  if (!attached_) return;
+  std::erase_if(attached_->promiscuous,
                 [id](const auto& entry) { return entry.first == id; });
 }
 
@@ -60,8 +96,10 @@ void Host::receive(packet::Packet packet, int /*port*/) {
   // not just the first synchronous hop.
   obs::ScopedCause cause(engine_.provenance(), packet.prov_id());
 
-  for (const auto& [id, handler] : promiscuous_)
-    handler(*decoded, packet.data());
+  if (attached_) {
+    for (const auto& [id, handler] : attached_->promiscuous)
+      handler(*decoded, packet.data());
+  }
   // Not ours (no forwarding): match against the family's own address.
   if (decoded->is_v6() ? decoded->ip6->dst != address6_
                        : decoded->ip.dst != address_)
@@ -69,7 +107,7 @@ void Host::receive(packet::Packet packet, int /*port*/) {
 
   // End hosts reassemble IP fragments before protocol dispatch.
   if (decoded->is_fragment()) {
-    auto whole = reassembler_.add(engine_.now(), packet.data());
+    auto whole = attachments().reassembler.add(engine_.now(), packet.data());
     if (!whole) return;  // still incomplete
     packet = std::move(*whole);
     decoded = packet::decode(packet);
@@ -77,12 +115,13 @@ void Host::receive(packet::Packet packet, int /*port*/) {
   }
 
   if (decoded->udp) {
-    auto it = udp_handlers_.find(decoded->udp->dst_port);
-    if (it != udp_handlers_.end()) it->second(*decoded, decoded->l4_payload);
+    if (!attached_) return;
+    auto it = attached_->udp.find(decoded->udp->dst_port);
+    if (it != attached_->udp.end()) it->second(*decoded, decoded->l4_payload);
     return;
   }
   if (decoded->tcp) {
-    if (tcp_handler_) tcp_handler_(*decoded, packet.data());
+    if (attached_ && attached_->tcp) attached_->tcp(*decoded, packet.data());
     return;
   }
   if (decoded->icmp) {
@@ -99,7 +138,7 @@ void Host::receive(packet::Packet packet, int /*port*/) {
                                decoded->icmp->rest, decoded->l4_payload));
       }
     }
-    if (icmp_handler_) icmp_handler_(*decoded, packet.data());
+    if (attached_ && attached_->icmp) attached_->icmp(*decoded, packet.data());
     return;
   }
 }

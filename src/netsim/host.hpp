@@ -8,12 +8,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
+#include <memory>
 
 #include "common/ip.hpp"
 #include "netsim/engine.hpp"
 #include "netsim/node.hpp"
-#include "packet/fragment.hpp"
 #include "packet/packet.hpp"
 
 namespace sm::netsim {
@@ -34,6 +33,7 @@ class Host : public Node {
   /// deterministic map_v6 embedding of its v4 address (override with
   /// set_address6). Handlers and reassembly are shared across families.
   Host(Engine& engine, std::string name, Ipv4Address address);
+  ~Host() override;
 
   Engine& engine() { return engine_; }
   Ipv4Address address() const { return address_; }
@@ -62,22 +62,15 @@ class Host : public Node {
 
   /// All TCP segments addressed to this host go to one handler (the TCP
   /// stack in proto/tcp attaches here).
-  void set_tcp_handler(PacketHandler handler) {
-    tcp_handler_ = std::move(handler);
-  }
-  void set_icmp_handler(PacketHandler handler) {
-    icmp_handler_ = std::move(handler);
-  }
+  void set_tcp_handler(PacketHandler handler);
+  void set_icmp_handler(PacketHandler handler);
 
   /// Promiscuous hooks: each sees every packet delivered to this host's
   /// port, including ones addressed elsewhere (used by probes that watch
   /// raw replies, and by tests). Returns an id for remove_promiscuous —
   /// handlers that capture short-lived objects (probes) must deregister
   /// before those objects die.
-  uint64_t add_promiscuous(PacketHandler handler) {
-    promiscuous_.emplace_back(++next_promiscuous_id_, std::move(handler));
-    return next_promiscuous_id_;
-  }
+  uint64_t add_promiscuous(PacketHandler handler);
   void remove_promiscuous(uint64_t id);
 
   /// When enabled (default), ICMP echo requests are answered.
@@ -92,17 +85,18 @@ class Host : public Node {
   uint64_t packets_sent() const { return packets_sent_; }
 
  private:
+  /// Handlers, hooks and fragment reassembly: one block, allocated by the
+  /// first bind, handler, hook or fragment. A population host that only
+  /// sources and sinks packets never allocates it.
+  struct Attachments;
+  Attachments& attachments();
+
   Engine& engine_;
   Ipv4Address address_;
   Ipv6Address address6_;
-  std::map<uint16_t, UdpHandler> udp_handlers_;
-  PacketHandler tcp_handler_;
-  PacketHandler icmp_handler_;
-  std::vector<std::pair<uint64_t, PacketHandler>> promiscuous_;
-  uint64_t next_promiscuous_id_ = 0;
-  bool ping_reply_ = true;
-  packet::Reassembler reassembler_;
+  std::unique_ptr<Attachments> attached_;
   uint16_t next_ephemeral_ = 49152;
+  bool ping_reply_ = true;
   uint64_t packets_received_ = 0;
   uint64_t packets_sent_ = 0;
 };

@@ -13,9 +13,41 @@ void Node::transmit(packet::Packet packet, int port) {
   if (link) link->send_from(this, std::move(packet));
 }
 
-Link::Link(Engine& engine, LinkConfig config, uint64_t seed)
-    : engine_(engine), config_(config),
-      model_(config.loss_rate, config.impairment, seed) {}
+void DeliveryPool::deliver_at(common::SimTime when, packet::Packet packet,
+                              Node* node, int port) {
+  // Arbitrary arrival order (reorder/duplicate impairments, links of
+  // different latency) is fine: each delivery pops its own slot.
+  uint32_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = InFlight{std::move(packet), node, port};
+  } else {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(InFlight{std::move(packet), node, port});
+  }
+  engine_.schedule_at(when, [pool = this, slot] { pool->arrive(slot); });
+}
+
+void DeliveryPool::arrive(uint32_t slot) {
+  InFlight& f = slots_[slot];
+  Node* node = f.node;
+  int port = f.port;
+  packet::Packet p = std::move(f.packet);
+  free_.push_back(slot);
+  node->receive(std::move(p), port);
+}
+
+Link::Link(Engine& engine, DeliveryPool& deliveries,
+           const LinkConfig& config, uint64_t seed)
+    : engine_(engine),
+      deliveries_(deliveries),
+      latency_(config.latency),
+      bandwidth_bps_(config.bandwidth_bps),
+      model_(config.impaired()
+                 ? std::make_unique<ImpairmentModel>(
+                       config.loss_rate, config.impairment, seed)
+                 : nullptr) {}
 
 std::pair<int, int> Link::connect(Node* a, Node* b) {
   a_.node = a;
@@ -35,32 +67,6 @@ Link::Endpoint& Link::peer_of(Node* n) {
   return n == a_.node ? b_ : a_;
 }
 
-void Link::deliver_at(common::SimTime when, Endpoint& rx,
-                      packet::Packet packet) {
-  // Park the packet in a recycled slot and capture only {link, index}:
-  // the closure stays within std::function's small-object buffer, so the
-  // per-hop schedule allocates nothing. Indices survive vector growth,
-  // and arbitrary arrival order (reorder/duplicate impairments) is fine
-  // because each delivery pops its own slot.
-  uint32_t slot;
-  if (!free_inflight_.empty()) {
-    slot = free_inflight_.back();
-    free_inflight_.pop_back();
-    inflight_[slot] = InFlight{std::move(packet), rx.node, rx.port};
-  } else {
-    slot = static_cast<uint32_t>(inflight_.size());
-    inflight_.push_back(InFlight{std::move(packet), rx.node, rx.port});
-  }
-  engine_.schedule_at(when, [link = this, slot] {
-    InFlight& f = link->inflight_[slot];
-    Node* node = f.node;
-    int port = f.port;
-    packet::Packet p = std::move(f.packet);
-    link->free_inflight_.push_back(slot);
-    node->receive(std::move(p), port);
-  });
-}
-
 void Link::send_from(Node* from, packet::Packet packet) {
   Endpoint& tx = endpoint_for(from);
   Endpoint& rx = peer_of(from);
@@ -76,7 +82,10 @@ void Link::send_from(Node* from, packet::Packet packet) {
                                            packet.size()));
   }
 
-  ImpairmentModel::Decision d = model_.apply(engine_.now(), packet.data());
+  // A clean link has no model and its packets keep the default fate:
+  // delivered once, unaltered, in order.
+  ImpairmentModel::Decision d;
+  if (model_) d = model_->apply(engine_.now(), packet.data());
   if (prov != nullptr && d.drop != ImpairmentModel::DropCause::None) {
     const char* why = "loss";
     switch (d.drop) {
@@ -109,17 +118,17 @@ void Link::send_from(Node* from, packet::Packet packet) {
   }
 
   common::SimTime depart = engine_.now();
-  if (config_.bandwidth_bps > 0) {
+  if (bandwidth_bps_ > 0) {
     // FIFO: a packet cannot start serializing until the previous one on
     // this direction finished.
     if (tx.busy_until > depart) depart = tx.busy_until;
     auto bits = static_cast<uint64_t>(packet.size()) * 8;
-    auto ser_nanos = static_cast<int64_t>(
-        bits * 1'000'000'000ULL / config_.bandwidth_bps);
+    auto ser_nanos =
+        static_cast<int64_t>(bits * 1'000'000'000ULL / bandwidth_bps_);
     depart = depart + common::Duration(ser_nanos);
     tx.busy_until = depart;
   }
-  common::SimTime arrive = depart + config_.latency;
+  common::SimTime arrive = depart + latency_;
   if (d.extra_delay.count() > 0) {
     ++stats_.reordered;
     arrive = arrive + d.extra_delay;
@@ -139,10 +148,11 @@ void Link::send_from(Node* from, packet::Packet packet) {
       prov->record(obs::ProvKind::Impair, engine_.now(), packet.prov_id(),
                    packet.prov_id(), "duplicate");
     }
-    deliver_at(arrive + d.duplicate_lag, rx, packet);  // copy
+    deliveries_.deliver_at(arrive + d.duplicate_lag, packet, rx.node,
+                           rx.port);  // copy
   }
   ++stats_.delivered;
-  deliver_at(arrive, rx, std::move(packet));
+  deliveries_.deliver_at(arrive, std::move(packet), rx.node, rx.port);
 }
 
 }  // namespace sm::netsim

@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "netsim/engine.hpp"
 #include "netsim/impairment.hpp"
@@ -24,6 +24,10 @@ struct LinkConfig {
   double loss_rate = 0.0;
   /// Additional adverse-network behaviours; see netsim/impairment.hpp.
   Impairment impairment{};
+
+  /// True if random loss or any impairment mechanism is on: only then
+  /// does a packet's fate need a draw.
+  bool impaired() const { return loss_rate > 0.0 || impairment.any(); }
 };
 
 /// Per-link traffic accounting, broken down by impairment mechanism.
@@ -43,9 +47,43 @@ struct LinkStats {
   }
 };
 
+/// Every scheduled delivery of one Network's links, parked here instead
+/// of inside the engine closure: capturing {pool, slot index} keeps the
+/// closure within EventFn's inline buffer, so the per-hop schedule makes
+/// no heap allocation, and freed slots recycle network-wide. Indexed
+/// (not pointed) because the vector grows; still-pending deliveries are
+/// destroyed with the pool, so a Network torn down mid-flight leaks
+/// nothing.
+class DeliveryPool {
+ public:
+  explicit DeliveryPool(Engine& engine) : engine_(engine) {}
+  DeliveryPool(const DeliveryPool&) = delete;  // closures hold its address
+  DeliveryPool& operator=(const DeliveryPool&) = delete;
+
+  /// Parks `packet` for `node`'s `port` and schedules its arrival.
+  void deliver_at(common::SimTime when, packet::Packet packet, Node* node,
+                  int port);
+
+ private:
+  struct InFlight {
+    packet::Packet packet;
+    Node* node = nullptr;
+    int port = -1;
+  };
+
+  void arrive(uint32_t slot);
+
+  Engine& engine_;
+  std::vector<InFlight> slots_;
+  std::vector<uint32_t> free_;
+};
+
 class Link {
  public:
-  Link(Engine& engine, LinkConfig config, uint64_t seed = 1);
+  /// A clean config (`!config.impaired()`) builds no impairment model:
+  /// its packets draw nothing, so the seed goes unused.
+  Link(Engine& engine, DeliveryPool& deliveries, const LinkConfig& config,
+       uint64_t seed);
 
   /// Wires the two endpoints; must be called exactly once. Returns the
   /// port index the link occupies on each node, (port on a, port on b),
@@ -68,7 +106,6 @@ class Link {
   uint64_t packets_sent() const { return stats_.sent; }
   uint64_t packets_dropped() const { return stats_.dropped(); }
   const LinkStats& stats() const { return stats_; }
-  const LinkConfig& config() const { return config_; }
 
  private:
   struct Endpoint {
@@ -77,29 +114,16 @@ class Link {
     common::SimTime busy_until{};
   };
 
-  /// A scheduled delivery, parked here instead of inside the engine
-  /// closure: capturing {Link*, slot index} keeps the closure within
-  /// std::function's small-object buffer, so the per-hop schedule makes
-  /// no heap allocation, and freed slots recycle. Indexed (not pointed)
-  /// because the vector grows; still-pending deliveries are destroyed
-  /// with the link, so a Network torn down mid-flight leaks nothing.
-  struct InFlight {
-    packet::Packet packet;
-    Node* node = nullptr;
-    int port = -1;
-  };
-
   Endpoint& endpoint_for(Node* n);
   Endpoint& peer_of(Node* n);
-  void deliver_at(common::SimTime when, Endpoint& rx, packet::Packet packet);
 
   Engine& engine_;
-  LinkConfig config_;
-  ImpairmentModel model_;
+  DeliveryPool& deliveries_;
+  common::Duration latency_;
+  uint64_t bandwidth_bps_;
+  std::unique_ptr<ImpairmentModel> model_;  // null on a clean link
   Endpoint a_, b_;
   LinkStats stats_;
-  std::vector<InFlight> inflight_;
-  std::vector<uint32_t> free_inflight_;
 };
 
 }  // namespace sm::netsim

@@ -15,8 +15,10 @@ Router* Network::add_router(const std::string& name) {
 }
 
 Link* Network::connect(Node* a, Node* b, LinkConfig config) {
+  // Every link advances the seed chain, clean ones included, so adding
+  // or removing an impairment never reseeds another link.
   links_.push_back(std::make_unique<Link>(
-      engine_, config, common::splitmix64(link_seed_state_)));
+      engine_, deliveries_, config, common::splitmix64(link_seed_state_)));
   Link* link = links_.back().get();
   auto [port_a, port_b] = link->connect(a, b);
 

@@ -20,6 +20,10 @@ namespace sm::netsim {
 class Network {
  public:
   Network() = default;
+  // Links, nodes and pending deliveries hold references into the engine
+  // and the delivery pool, so a Network never moves.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   Engine& engine() { return engine_; }
 
@@ -55,6 +59,7 @@ class Network {
 
  private:
   Engine engine_;
+  DeliveryPool deliveries_{engine_};
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<Link>> links_;

@@ -75,7 +75,7 @@ TrafficClass Classifier::classify(SimTime now, const packet::Decoded& d) {
              common::host_identity(d.dst_addr()).value())
          << 16) |
         d.tcp->dst_port;
-    st.syn_targets.emplace_back(now, target);
+    st.syn_targets.push_back({now, target});
     st.distinct_targets.insert(target);
     if (st.distinct_targets.size() >= config_.scan_fanout_threshold)
       return TrafficClass::Scanning;
@@ -85,7 +85,7 @@ TrafficClass Classifier::classify(SimTime now, const packet::Decoded& d) {
   // destination.
   if (d.tcp && (!d.l4_payload.empty() || d.tcp->syn())) {
     uint32_t dst_id = common::host_identity(d.dst_addr()).value();
-    st.requests.emplace_back(now, dst_id);
+    st.requests.push_back({now, dst_id});
     size_t& n = st.per_dst_count[dst_id];
     ++n;
     if (n >= config_.ddos_rate_threshold) return TrafficClass::DdosLike;

@@ -8,9 +8,10 @@
 // such a discard stage uses.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "common/flathash.hpp"
 #include "common/ip.hpp"
@@ -57,13 +58,41 @@ class Classifier {
   size_t tracked_sources() const { return sources_.size(); }
 
  private:
+  /// Sliding-window FIFO that allocates nothing until its first push:
+  /// every slot of `sources_` holds a SourceState, empty slots included,
+  /// so an allocating default constructor (std::deque's ~600 B) would be
+  /// paid per slot. Pops advance a head index; the dead prefix is
+  /// dropped once it is half the buffer, so each entry moves at most
+  /// once on average.
+  template <typename T>
+  class Window {
+   public:
+    bool empty() const { return head_ == items_.size(); }
+    const T& front() const { return items_[head_]; }
+    void push_back(const T& v) { items_.push_back(v); }
+    void pop_front() {
+      if (++head_ == items_.size()) {
+        items_.clear();
+        head_ = 0;
+      } else if (2 * head_ >= items_.size()) {
+        items_.erase(items_.begin(),
+                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+
+   private:
+    std::vector<T> items_;
+    size_t head_ = 0;
+  };
+
   // Per-source state lives in open-addressed tables (PR 8): nothing here
   // is ever iterated for output, only probed per packet, so the swap is
   // invisible outside this class.
   struct SourceState {
-    std::deque<std::pair<SimTime, uint64_t>> syn_targets;  // (time, dst|port)
+    Window<std::pair<SimTime, uint64_t>> syn_targets;  // (time, dst|port)
     common::FlatSet<uint64_t> distinct_targets;
-    std::deque<std::pair<SimTime, uint32_t>> requests;  // (time, dst ip)
+    Window<std::pair<SimTime, uint32_t>> requests;  // (time, dst ip)
     common::FlatMap<uint32_t, size_t> per_dst_count;
     void advance(SimTime now, const ClassifierConfig& cfg);
   };

@@ -1,10 +1,13 @@
 // Flyweight background-traffic generator: determinism, wire validity of
-// the RFC 1624 template patching, MVR classifier integration, and
-// flow-slot recycling through the Pool.
+// the RFC 1624 template patching, MVR classifier integration, flow-slot
+// recycling through the Pool, and the population's heap budget.
 #include "netsim/bgtraffic.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 
 #include "netsim/asgen.hpp"
@@ -12,6 +15,61 @@
 #include "netsim/topology.hpp"
 #include "packet/packet.hpp"
 #include "surveillance/mvr.hpp"
+
+// Live-heap accounting for the heap-budget test: this binary's global
+// operator new/delete keep a running count of requested bytes and its
+// high-water mark. Each block carries its size in a 16-byte header
+// (which keeps the default new alignment). Unlike malloc statistics,
+// the count is the same under ASan, which intercepts malloc itself.
+namespace {
+
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_bytes{0};
+constexpr size_t kSizeHeader = 16;
+
+void* counted_alloc(size_t n) {
+  void* base = std::malloc(n + kSizeHeader);
+  if (base == nullptr) throw std::bad_alloc();
+  *static_cast<size_t*>(base) = n;
+  int64_t live = g_live_bytes.fetch_add(static_cast<int64_t>(n)) +
+                 static_cast<int64_t>(n);
+  int64_t peak = g_peak_bytes.load();
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+  }
+  return static_cast<char*>(base) + kSizeHeader;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  void* base = static_cast<char*>(p) - kSizeHeader;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(*static_cast<size_t*>(base)));
+  std::free(base);
+}
+
+}  // namespace
+
+void* operator new(size_t n) { return counted_alloc(n); }
+void* operator new[](size_t n) { return counted_alloc(n); }
+void* operator new(size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](size_t n, const std::nothrow_t& tag) noexcept {
+  return operator new(n, tag);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace sm::netsim {
 namespace {
@@ -152,6 +210,56 @@ TEST(BgTraffic, ProbeTrafficIsDeterministicToo) {
     return sim.bg.stats().packets_emitted;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(BgTraffic, PopulationHeapBudgetPerHost) {
+  // The E23 world at perfbench's tiny scale: 5,040 hosts, an MVR on the
+  // last stub AS's border, background traffic and 16 probers. Every
+  // host and link is paid for at generation time, and the run adds the
+  // MVR's per-source tables and the packets in flight.
+  AsGenConfig config;
+  config.as_count = 6;
+  config.transit_count = 2;
+  config.routers_per_as = 3;
+  config.subnets_per_router = 2;
+  config.hosts_per_subnet = 140;
+  config.extra_peering = 2;
+  BgTrafficConfig traffic;
+  traffic.flows_per_second = 4000;
+  traffic.window = Duration::seconds(2);
+
+  Network net;
+  const int64_t before = g_live_bytes.load();
+  AsTopology topo = AsTopology::generate(net, config);
+  const double hosts = static_cast<double>(topo.population());
+  ASSERT_EQ(topo.population(), 5040u);
+  const double generated = double(g_live_bytes.load() - before) / hosts;
+
+  const AsInfo& country = topo.ases().back();
+  surveillance::MvrTap mvr;
+  topo.border(country.index)->add_tap(&mvr);
+  BgTraffic bg(net, topo, traffic);
+  bg.start();
+  size_t stride = country.host_count / 17;
+  for (size_t i = 0; i < 8; ++i) {
+    bg.launch_probe(country.first_host + (2 * i) * stride, false);
+    bg.launch_probe(country.first_host + (2 * i + 1) * stride, true);
+  }
+  g_peak_bytes.store(g_live_bytes.load());
+  net.run_for(traffic.window + Duration::seconds(2));
+  const double peak = double(g_peak_bytes.load() - before) / hosts;
+  EXPECT_EQ(bg.live_flows(), 0u);
+  EXPECT_GT(mvr.stats().packets_seen, 0u);
+
+  // Requested bytes per host at this scale: 426 after generation, 1,418
+  // at the peak. The bounds trip on an impairment model in every clean
+  // link plus handler tables in every host (1,035 after generation), and
+  // on per-source windows that allocate while empty (std::deque's: 2,830
+  // at the peak, ~1.2 KB per slot of the per-source table).
+  RecordProperty("bytes_per_host_generated", std::to_string(generated));
+  RecordProperty("bytes_per_host_peak", std::to_string(peak));
+  EXPECT_LT(generated, 700.0) << "bytes per host after generation";
+  EXPECT_LT(peak, 2000.0) << "bytes per host at the run's peak";
 }
 
 }  // namespace

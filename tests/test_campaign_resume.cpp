@@ -45,13 +45,17 @@ std::string read_file(const std::string& path) {
 /// interrupted after `keep` trials.
 void prefix_checkpoint(const std::string& src, const std::string& dst,
                        size_t keep) {
-  common::RecordScan scan = common::scan_records(src, campaign::kCheckpointTag);
+  std::vector<common::Bytes> records;
+  common::RecordScan scan = common::scan_records(
+      src, campaign::kCheckpointTag, [&](std::span<const uint8_t> payload) {
+        records.emplace_back(payload.begin(), payload.end());
+      });
   ASSERT_TRUE(scan.ok()) << scan.error;
-  ASSERT_GE(scan.records.size(), 1u + keep);
+  ASSERT_GE(records.size(), 1u + keep);
   common::RecordWriter writer;
   ASSERT_TRUE(writer.open(dst, campaign::kCheckpointTag, 0));
   for (size_t i = 0; i <= keep; ++i)  // record 0 is the meta
-    ASSERT_TRUE(writer.append(scan.records[i]));
+    ASSERT_TRUE(writer.append(records[i]));
 }
 
 std::vector<std::string> split_lines(const std::string& text) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <span>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,6 +44,20 @@ void write_file(const std::string& path, const std::string& bytes) {
 
 common::Bytes payload_of(std::string_view s) {
   return common::Bytes(s.begin(), s.end());
+}
+
+/// A scan plus every payload its visitor was handed, in order.
+struct CollectedScan : common::RecordScan {
+  std::vector<common::Bytes> records;
+};
+
+CollectedScan scan_collect(const std::string& path, uint16_t app_tag) {
+  CollectedScan out;
+  static_cast<common::RecordScan&>(out) = common::scan_records(
+      path, app_tag, [&out](std::span<const uint8_t> payload) {
+        out.records.emplace_back(payload.begin(), payload.end());
+      });
+  return out;
 }
 
 /// A TrialResult with every deterministic field away from its default.
@@ -267,7 +282,7 @@ TEST(RecordFile, TruncationAtEveryByteYieldsCleanPrefixOrNothing) {
 
   for (size_t len = 0; len <= full.size(); ++len) {
     write_file(path, full.substr(0, len));
-    common::RecordScan scan = common::scan_records(path, 0x1234);
+    CollectedScan scan = scan_collect(path, 0x1234);
     if (len < 8) {
       // No whole header: structural error or (len==0) an empty-but-
       // present file is torn at the header — either way, zero records.
@@ -302,7 +317,7 @@ TEST(RecordFile, EveryBodyByteFlipIsDetectedNeverMisread) {
     std::string mutated = full;
     mutated[i] = static_cast<char>(mutated[i] ^ 0x5A);
     write_file(path, mutated);
-    common::RecordScan scan = common::scan_records(path, 0x1234);
+    CollectedScan scan = scan_collect(path, 0x1234);
     ASSERT_TRUE(scan.ok()) << i;
     // The flip must cost us the frame it landed in (reported as corrupt
     // or, when it inflates a length field past EOF, torn) — and every
@@ -326,7 +341,7 @@ TEST(RecordFile, WriterResumesAfterTornTail) {
   // Tear the second frame.
   std::string full = read_file(path);
   write_file(path, full.substr(0, full.size() - 3));
-  common::RecordScan scan = common::scan_records(path, 0x1234);
+  CollectedScan scan = scan_collect(path, 0x1234);
   ASSERT_TRUE(scan.ok());
   EXPECT_TRUE(scan.torn);
   ASSERT_EQ(scan.records.size(), 1u);
@@ -338,7 +353,7 @@ TEST(RecordFile, WriterResumesAfterTornTail) {
                             static_cast<int64_t>(scan.valid_bytes)));
     ASSERT_TRUE(writer.append(payload_of("replayed")));
   }
-  common::RecordScan again = common::scan_records(path, 0x1234);
+  CollectedScan again = scan_collect(path, 0x1234);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again.torn);
   ASSERT_EQ(again.records.size(), 2u);
@@ -359,7 +374,7 @@ TEST(RecordFile, FaultBudgetCutsMidFrame) {
   EXPECT_FALSE(writer.append(payload_of("dead writer refuses")));
   writer.close();
 
-  common::RecordScan scan = common::scan_records(path, 0x1234);
+  CollectedScan scan = scan_collect(path, 0x1234);
   ASSERT_TRUE(scan.ok());
   EXPECT_TRUE(scan.torn);
   ASSERT_EQ(scan.records.size(), 1u);
@@ -374,9 +389,67 @@ TEST(RecordFile, AppTagMismatchIsStructural) {
     ASSERT_TRUE(writer.open(path, 0x1111, 0));
     ASSERT_TRUE(writer.append(payload_of("x")));
   }
-  EXPECT_FALSE(common::scan_records(path, 0x2222).ok());
-  EXPECT_TRUE(common::scan_records(path, 0x1111).ok());
-  EXPECT_TRUE(common::scan_records(path, 0).ok());  // 0 = any tag
+  EXPECT_FALSE(scan_collect(path, 0x2222).ok());
+  EXPECT_TRUE(scan_collect(path, 0x1111).ok());
+  EXPECT_TRUE(scan_collect(path, 0).ok());  // 0 = any tag
+  std::remove(path.c_str());
+}
+
+TEST(RecordFile, FramesStreamAcrossAndBeyondTheReadBuffer) {
+  // The scanner reads 64 KiB at a time: these sizes make frames straddle
+  // chunk boundaries at shifting offsets, and one frame spans several
+  // chunks, so the buffer must slide and grow without losing a byte.
+  const std::string path = temp_path("stream");
+  std::vector<common::Bytes> payloads;
+  common::Rng rng(7);
+  for (size_t len : {100u, 65530u, 3u, 70000u, 0u, 200000u, 65536u, 12345u}) {
+    common::Bytes p(len);
+    for (auto& b : p) b = static_cast<uint8_t>(rng.next());
+    payloads.push_back(std::move(p));
+  }
+  {
+    common::RecordWriter writer;
+    ASSERT_TRUE(writer.open(path, 0x1234, 0));
+    for (const auto& p : payloads) ASSERT_TRUE(writer.append(p));
+  }
+  const std::string full = read_file(path);
+  CollectedScan scan = scan_collect(path, 0x1234);
+  ASSERT_TRUE(scan.ok()) << scan.error;
+  EXPECT_FALSE(scan.torn);
+  EXPECT_FALSE(scan.corrupt);
+  EXPECT_EQ(scan.valid_bytes, full.size());
+  EXPECT_EQ(scan.records, payloads);
+
+  // Cut inside the 200,000-byte frame: the five frames before it survive.
+  size_t big_start = 8;
+  for (size_t i = 0; i < 5; ++i) big_start += 8 + payloads[i].size();
+  write_file(path, full.substr(0, big_start + 8 + 150000));
+  CollectedScan cut = scan_collect(path, 0x1234);
+  ASSERT_TRUE(cut.ok()) << cut.error;
+  EXPECT_TRUE(cut.torn);
+  EXPECT_EQ(cut.valid_bytes, big_start);
+  ASSERT_EQ(cut.records.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) EXPECT_EQ(cut.records[i], payloads[i]) << i;
+  std::remove(path.c_str());
+}
+
+TEST(RecordFile, VisitorExceptionEndsTheScan) {
+  const std::string path = temp_path("throw");
+  {
+    common::RecordWriter writer;
+    ASSERT_TRUE(writer.open(path, 0x1234, 0));
+    ASSERT_TRUE(writer.append(payload_of("first")));
+    ASSERT_TRUE(writer.append(payload_of("second")));
+  }
+  size_t visits = 0;
+  EXPECT_THROW(common::scan_records(path, 0x1234,
+                                    [&](std::span<const uint8_t>) {
+                                      ++visits;
+                                      throw std::runtime_error("undecodable");
+                                    }),
+               std::runtime_error);
+  EXPECT_EQ(visits, 1u);
+  EXPECT_EQ(scan_collect(path, 0x1234).records.size(), 2u);
   std::remove(path.c_str());
 }
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <tuple>
 
+#include "common/recordio.hpp"
 #include "netsim/topology.hpp"
 #include "netsim/trace.hpp"
+#include "packet/fragment.hpp"
 #include "packet/packet.hpp"
 
 namespace sm::netsim {
@@ -470,6 +473,152 @@ TEST(Network, LinkSeedsAreDecorrelated) {
   EXPECT_NE(got1, got2) << "lossy links drop in lockstep";
   EXPECT_GT(l1->packets_dropped(), 0u);
   EXPECT_GT(l2->packets_dropped(), 0u);
+}
+
+// --- State moved out of links and hosts ---
+
+namespace {
+
+/// Link endpoint that logs every packet handed to it: arrival time and
+/// wire bytes, corrupted ones included, folded into one CRC.
+struct Sink : Node {
+  Engine& engine;
+  uint32_t log_crc = 0;
+  size_t arrivals = 0;
+  explicit Sink(Engine& e) : Node("sink", NodeKind::Host), engine(e) {}
+  void receive(packet::Packet p, int) override {
+    int64_t t = engine.now().count();
+    log_crc = common::crc32(
+        std::span(reinterpret_cast<const uint8_t*>(&t), sizeof t), log_crc);
+    log_crc = common::crc32(p.data(), log_crc);
+    ++arrivals;
+  }
+};
+
+/// One character per send: the drop cause, else the first alteration.
+char fate_of(const LinkStats& before, const LinkStats& after) {
+  if (after.dropped_loss > before.dropped_loss) return 'L';
+  if (after.dropped_burst > before.dropped_burst) return 'B';
+  if (after.dropped_corrupt > before.dropped_corrupt) return 'C';
+  if (after.duplicated > before.duplicated) return 'D';
+  if (after.reordered > before.reordered) return 'R';
+  if (after.corrupted > before.corrupted) return 'X';
+  return '.';
+}
+
+}  // namespace
+
+TEST(Link, CleanLinkBetweenImpairedOnesKeepsTheirFates) {
+  // A clean link builds no impairment model but still takes its step of
+  // the seed chain, so the impaired links on either side draw exactly
+  // what they drew when every link carried a model. The expected values
+  // were recorded from that earlier layout.
+  Network net;
+  net.set_link_seed_root(7);
+  std::vector<std::unique_ptr<Sink>> sinks;
+  for (int i = 0; i < 6; ++i)
+    sinks.push_back(std::make_unique<Sink>(net.engine()));
+  LinkConfig impaired{Duration::millis(1), 0, 0.1};
+  impaired.impairment.burst = {.p_enter = 0.05, .p_exit = 0.3,
+                               .loss_good = 0.0, .loss_bad = 0.8};
+  impaired.impairment.reorder_rate = 0.2;
+  impaired.impairment.duplicate_rate = 0.1;
+  impaired.impairment.corrupt_rate = 0.1;
+  Link* links[3] = {
+      net.connect(sinks[0].get(), sinks[1].get(), impaired),
+      net.connect(sinks[2].get(), sinks[3].get(), LinkConfig{}),
+      net.connect(sinks[4].get(), sinks[5].get(), impaired),
+  };
+  std::string fates[3];
+  for (int i = 0; i < 64; ++i) {
+    net.engine().schedule(Duration::micros(500) * i, [&, i] {
+      for (int k = 0; k < 3; ++k) {
+        LinkStats before = links[k]->stats();
+        common::Bytes payload(32, static_cast<uint8_t>(i));
+        links[k]->send_from(
+            sinks[2 * k].get(),
+            packet::make_udp(Ipv4Address(10, 0, 0, 1),
+                             Ipv4Address(10, 0, 0, 2),
+                             static_cast<uint16_t>(1000 + i), 53, payload));
+        fates[k] += fate_of(before, links[k]->stats());
+      }
+    });
+  }
+  net.run_for(Duration::seconds(1));
+  EXPECT_EQ(fates[0],
+            ".R.C......L..DD.....R...R...RL....BBBBB.......L.C.DB.RD....RD.RD");
+  EXPECT_EQ(sinks[1]->log_crc, 836259451u);
+  EXPECT_EQ(fates[1], std::string(64, '.'));
+  EXPECT_EQ(sinks[3]->arrivals, 64u);
+  EXPECT_EQ(fates[2],
+            "......DBBL..CR.R..CR.LBBR.BB.L.D...D.C..L.RR...L...R.D....RDRD.L");
+  EXPECT_EQ(sinks[5]->log_crc, 350759342u);
+}
+
+TEST(Network, TeardownWithDeliveriesInFlight) {
+  // Packets parked in the network's delivery pool die with it: sanitizer
+  // builds turn a leak or a dangling slot into a failure here.
+  for (bool partly_run : {false, true}) {
+    auto net = std::make_unique<Network>();
+    Host* a = net->add_host("a", Ipv4Address(10, 0, 0, 1));
+    Host* b = net->add_host("b", Ipv4Address(10, 0, 0, 2));
+    Host* c = net->add_host("c", Ipv4Address(10, 0, 0, 3));
+    Host* d = net->add_host("d", Ipv4Address(10, 0, 0, 4));
+    LinkConfig impaired{Duration::millis(5), 0, 0.1};
+    impaired.impairment.duplicate_rate = 0.5;
+    impaired.impairment.reorder_rate = 0.5;
+    impaired.impairment.reorder_jitter = Duration::millis(3);
+    net->connect(a, b, LinkConfig{Duration::millis(5)});
+    net->connect(c, d, impaired);
+    int received = 0;
+    d->udp_bind(1, [&](const packet::Decoded&, std::span<const uint8_t>) {
+      ++received;
+    });
+    common::Bytes payload(200, 'x');
+    for (int i = 0; i < 100; ++i) {
+      a->send_udp(b->address(), 1, 1, payload);
+      c->send_udp(d->address(), 1, 1, payload);
+    }
+    if (partly_run) net->run_for(Duration::millis(6));
+    EXPECT_GT(net->engine().pending(), 0u) << partly_run;
+    EXPECT_EQ(received > 0, partly_run);
+    net.reset();
+  }
+}
+
+TEST(Host, BareHostAnswersAFragmentedEcho) {
+  Network net;
+  Host* a = net.add_host("a", Ipv4Address(10, 0, 0, 1));
+  Host* b = net.add_host("b", Ipv4Address(10, 0, 0, 2));
+  net.connect(a, b);
+  // b has no handler, hook or binding: removing one is a no-op.
+  b->udp_unbind(53);
+  b->remove_promiscuous(1);
+  int replies = 0;
+  size_t reply_payload = 0;
+  a->set_icmp_handler([&](const packet::Decoded& d, const common::Bytes&) {
+    if (d.icmp->type != packet::IcmpHeader::kEchoReply) return;
+    ++replies;
+    reply_payload = d.l4_payload.size();
+  });
+  common::Bytes payload(600, 'p');
+  packet::IpOptions may_fragment;
+  may_fragment.identification = 77;
+  may_fragment.dont_fragment = false;
+  std::vector<packet::Packet> fragments = packet::fragment(
+      packet::make_icmp(a->address(), b->address(),
+                        packet::IcmpHeader::kEchoRequest, 0, 0x12340001,
+                        payload, may_fragment),
+      400);
+  ASSERT_EQ(fragments.size(), 2u);
+  for (packet::Packet& f : fragments) a->send(std::move(f));
+  net.run_for(Duration::millis(10));
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(reply_payload, payload.size());
+  EXPECT_EQ(b->packets_received(), 2u);
+  EXPECT_EQ(b->packets_sent(), 1u);
+  b->udp_unbind(53);
+  b->remove_promiscuous(1);
 }
 
 }  // namespace

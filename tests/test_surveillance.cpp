@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <set>
+
+#include "common/rng.hpp"
 #include "netsim/topology.hpp"
 #include "surveillance/analyst.hpp"
 #include "surveillance/classify.hpp"
@@ -120,6 +125,85 @@ TEST(Classifier, DdosByRequestRate) {
     last = c.classify(SimTime(i * 1000), pkt);
   }
   EXPECT_EQ(last, TrafficClass::DdosLike);
+}
+
+/// The classifier's window logic over std::deque and ordered containers:
+/// the reference its compacting windows must agree with.
+struct ReferenceClassifier {
+  ClassifierConfig cfg;
+  struct Source {
+    std::deque<std::pair<SimTime, uint64_t>> syn_targets;
+    std::set<uint64_t> distinct_targets;
+    std::deque<std::pair<SimTime, uint32_t>> requests;
+    std::map<uint32_t, size_t> per_dst_count;
+  };
+  std::map<uint32_t, Source> sources;
+
+  TrafficClass classify(SimTime now, const packet::Decoded& d) {
+    if (looks_p2p(d)) return TrafficClass::P2p;
+    Source& st = sources[common::host_identity(d.src_addr()).value()];
+    while (!st.syn_targets.empty() &&
+           now - st.syn_targets.front().first > cfg.scan_window) {
+      st.distinct_targets.erase(st.syn_targets.front().second);
+      st.syn_targets.pop_front();
+    }
+    while (!st.requests.empty() &&
+           now - st.requests.front().first > cfg.ddos_window) {
+      auto it = st.per_dst_count.find(st.requests.front().second);
+      if (it != st.per_dst_count.end() && --it->second == 0)
+        st.per_dst_count.erase(it);
+      st.requests.pop_front();
+    }
+    uint32_t dst_id = common::host_identity(d.dst_addr()).value();
+    if (d.tcp && d.tcp->syn() && !d.tcp->ack_flag()) {
+      uint64_t target = (uint64_t{dst_id} << 16) | d.tcp->dst_port;
+      st.syn_targets.emplace_back(now, target);
+      st.distinct_targets.insert(target);
+      if (st.distinct_targets.size() >= cfg.scan_fanout_threshold)
+        return TrafficClass::Scanning;
+    }
+    if (d.tcp && (!d.l4_payload.empty() || d.tcp->syn())) {
+      st.requests.emplace_back(now, dst_id);
+      if (++st.per_dst_count[dst_id] >= cfg.ddos_rate_threshold)
+        return TrafficClass::DdosLike;
+    }
+    return port_class(d);
+  }
+};
+
+TEST(Classifier, WindowsAgreeWithADequeReference) {
+  // Bursts and lulls make the windows fill, drain to empty, and slide
+  // over hundreds of entries, so every compaction path runs.
+  ClassifierConfig cfg{.scan_fanout_threshold = 40,
+                       .scan_window = Duration::millis(200),
+                       .ddos_rate_threshold = 20,
+                       .ddos_window = Duration::millis(300)};
+  Classifier fast(cfg);
+  ReferenceClassifier ref{cfg, {}};
+  common::Rng rng(2015);
+  int64_t now = 0;
+  size_t scans = 0, ddos = 0;
+  for (int i = 0; i < 20000; ++i) {
+    now += rng.chance(0.01) ? Duration::millis(400).count()
+                            : static_cast<int64_t>(rng.bounded(1'000'000));
+    Ipv4Address src(10, 0, 0, static_cast<uint8_t>(1 + rng.bounded(3)));
+    Ipv4Address dst(198, 18, 0, static_cast<uint8_t>(rng.bounded(8)));
+    auto port = static_cast<uint16_t>(rng.bounded(24));
+    bool syn = rng.chance(0.6);
+    common::Bytes storage;
+    packet::Decoded d = decode_keep(
+        packet::make_tcp(src, dst, 40000, port,
+                         syn ? TcpFlags::kSyn : TcpFlags::kAck, 1, 1,
+                         syn ? common::Bytes{} : common::to_bytes("data")),
+        storage);
+    TrafficClass got = fast.classify(SimTime(now), d);
+    ASSERT_EQ(got, ref.classify(SimTime(now), d)) << "packet " << i;
+    scans += got == TrafficClass::Scanning;
+    ddos += got == TrafficClass::DdosLike;
+  }
+  EXPECT_GT(scans, 0u);
+  EXPECT_GT(ddos, 0u);
+  EXPECT_EQ(fast.tracked_sources(), 3u);
 }
 
 TEST(RetentionStoreTest, EvictsBeyondWindow) {

@@ -25,6 +25,10 @@ Procedure:
      kills injected (at least one of each kind) and every planned fault
      fired, byte-compare out.jsonl and metrics.json against the
      baseline.
+  4. relaunch once on the finished chaos dir: the resume must rewrite
+     both files byte-identically, and its largest process (ru_maxrss
+     from wait4, which covers the workers it reaped) may peak at most
+     RESUME_RSS_RATIO times the baseline run's.
 
 Kill intervals adapt: a launch's kill clock starts once its workers
 exist (the supervisor first builds the workload and loads the
@@ -55,6 +59,17 @@ def log(msg):
     print(f"crash_harness: {msg}", flush=True)
 
 
+def run_measured(cmd):
+    """Runs `cmd` to completion; returns (exit code, largest process's
+    peak RSS in MB). wait4's ru_maxrss is the larger of the process's
+    own and that of every descendant it waited for."""
+    proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024.0
+
+
 def run_baseline(daemon, workload, jobs, seed, dirpath):
     out = os.path.join(dirpath, "out.jsonl")
     metrics = os.path.join(dirpath, "metrics.json")
@@ -62,20 +77,23 @@ def run_baseline(daemon, workload, jobs, seed, dirpath):
            "--out", out, "--metrics-out", metrics,
            "-j", str(jobs), "--seed", str(seed)]
     t0 = time.monotonic()
-    proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL)
-    if proc.returncode != 0:
-        log(f"baseline run failed (exit {proc.returncode})")
+    rc, rss_mb = run_measured(cmd)
+    if rc != 0:
+        log(f"baseline run failed (exit {rc})")
         sys.exit(1)
     elapsed = time.monotonic() - t0
-    log(f"baseline complete in {elapsed:.1f}s")
-    return out, metrics, elapsed
+    log(f"baseline complete in {elapsed:.1f}s, largest process "
+        f"{rss_mb:.1f} MB")
+    return out, metrics, elapsed, rss_mb
 
 
 # Exit status of a launch whose planned checkpoint fault fired
 # (campaign::kCheckpointFaultExit) and of a launch refused by the lock.
 FAULT_EXIT = 86
 LOCKED_EXIT = 3
+# Bound on a relaunch's largest process on a finished --dir, as a
+# multiple of the uninterrupted run's.
+RESUME_RSS_RATIO = 1.25
 
 
 def read_worker_pids(sup_pid):
@@ -128,8 +146,11 @@ def kill_pid(pid, group=False):
 
 
 def files_equal(a, b):
-    with open(a, "rb") as fa, open(b, "rb") as fb:
-        return fa.read() == fb.read()
+    try:
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            return fa.read() == fb.read()
+    except FileNotFoundError:
+        return False
 
 
 def main():
@@ -166,7 +187,7 @@ def main():
 
     log(f"workdir {workdir}; workload {workload} -j{args.jobs} "
         f"seed {args.seed}")
-    base_out, base_metrics, base_elapsed = run_baseline(
+    base_out, base_metrics, base_elapsed, base_rss = run_baseline(
         daemon, workload, args.jobs, args.seed, base_dir)
 
     # Budget the kill cadence so ~all kills are spent within roughly one
@@ -258,14 +279,35 @@ def main():
             f"fired faults, the lock check) -- increase --trials")
         return 1
 
-    ok = True
-    for label, a, b in (("jsonl", base_out, chaos_out),
-                        ("metrics", base_metrics, chaos_metrics)):
-        if files_equal(a, b):
-            log(f"{label}: BYTE-IDENTICAL")
-        else:
-            log(f"{label}: MISMATCH ({a} vs {b})")
-            ok = False
+    def outputs_match(when):
+        ok = True
+        for label, a, b in (("jsonl", base_out, chaos_out),
+                            ("metrics", base_metrics, chaos_metrics)):
+            if files_equal(a, b):
+                log(f"{label} ({when}): BYTE-IDENTICAL")
+            else:
+                log(f"{label} ({when}): MISMATCH ({a} vs {b})")
+                ok = False
+        return ok
+
+    ok = outputs_match("chaos")
+    # A relaunch on the finished dir only loads the checkpoint and
+    # rewrites the outputs: it must not cost much more than the campaign.
+    # The chaos outputs go first, so the comparison reads what the
+    # relaunch itself wrote.
+    os.remove(chaos_out)
+    os.remove(chaos_metrics)
+    rc, resume_rss = run_measured(cmd)
+    if rc != 0:
+        log(f"relaunch on the finished dir exited {rc}")
+        ok = False
+    ok = outputs_match("relaunch") and ok
+    ratio = resume_rss / base_rss
+    within = ratio <= RESUME_RSS_RATIO
+    log(f"relaunch largest process {resume_rss:.1f} MB = {ratio:.2f}x the "
+        f"baseline's {base_rss:.1f} MB (limit {RESUME_RSS_RATIO:.2f}x)"
+        f"{'' if within else ' -- OVER'}")
+    ok = ok and within
     if ok and not args.keep and args.workdir is None:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0 if ok else 1
