@@ -1,10 +1,9 @@
-// Shared helpers for the experiment benches: run one technique in a fresh
-// testbed (or a whole technique x config matrix through the campaign
-// runner) and collect both the measurement report and the risk report.
+// Shared helpers for the experiment benches: run a technique x config
+// matrix through the campaign runner and collect both the measurement
+// report and the risk report of every cell.
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,23 +25,8 @@ struct TechniqueRun {
   core::RiskReport risk;
 };
 
-/// Factory signature: builds a probe bound to the given testbed.
-using ProbeFactory =
-    std::function<std::unique_ptr<core::Probe>(core::Testbed&)>;
-
-/// Runs `factory`'s probe in a fresh testbed configured with `config`
-/// (single-cell path; matrix benches go through run_campaign below).
-inline TechniqueRun run_technique(const core::TestbedConfig& config,
-                                  const ProbeFactory& factory,
-                                  const std::string& label) {
-  core::Testbed tb(config);
-  auto probe = factory(tb);
-  TechniqueRun out;
-  out.report = core::run_probe(tb, *probe);
-  tb.run_for(common::Duration::seconds(2));  // drain in-flight traffic
-  out.risk = core::assess_risk(tb, label);
-  return out;
-}
+/// Builds a probe bound to the given testbed.
+using ProbeFactory = campaign::ProbeFactory;
 
 /// The standard technique suite, in presentation order.
 struct NamedFactory {

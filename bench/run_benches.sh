@@ -16,7 +16,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build-release}"
 
 cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD" -j
+cmake --build "$BUILD" -j "$(nproc)"
 BUILD="$(cd "$BUILD" && pwd)"
 
 mkdir -p "$BUILD/bench-results"

@@ -56,7 +56,7 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "sanitize" ]; then
   echo "=== stage 1: Debug + ASan/UBSan ==="
   cmake -B "$ROOT/build-asan" -S "$ROOT" \
         -DCMAKE_BUILD_TYPE=Debug -DSM_SANITIZE=ON
-  cmake --build "$ROOT/build-asan" -j
+  cmake --build "$ROOT/build-asan" -j "$(nproc)"
   # --schedule-random shakes out hidden inter-test ordering dependencies.
   ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$(nproc)" \
         --schedule-random
@@ -71,7 +71,7 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tsan" ]; then
   echo "=== stage 2: Debug + TSan (campaign concurrency tests) ==="
   cmake -B "$ROOT/build-tsan" -S "$ROOT" \
         -DCMAKE_BUILD_TYPE=Debug -DSM_TSAN=ON
-  cmake --build "$ROOT/build-tsan" -j
+  cmake --build "$ROOT/build-tsan" -j "$(nproc)"
   # The concurrency surface: the campaign runner itself plus the shared
   # layers its workers touch concurrently (logging, metrics merge) — and
   # the codec fuzz sweeps, which are cheap and worth a second sanitizer.
@@ -99,7 +99,7 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "simcheck" ]; then
   echo "=== stage 3: simcheck model-checking (ASan/UBSan build) ==="
   cmake -B "$ROOT/build-asan" -S "$ROOT" \
         -DCMAKE_BUILD_TYPE=Debug -DSM_SANITIZE=ON
-  cmake --build "$ROOT/build-asan" -j --target simcheck
+  cmake --build "$ROOT/build-asan" -j "$(nproc)" --target simcheck
   SIMCHECK="$ROOT/build-asan/src/simcheck/simcheck"
   SEED=0x51AC4EC0DE
   # 500 seeded scenarios, all five oracles green, -j1 == -j4 bytewise.
@@ -132,7 +132,7 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "coverage" ]; then
   echo "=== stage 4: line coverage (gcov build + floors) ==="
   cmake -B "$ROOT/build-cov" -S "$ROOT" \
         -DCMAKE_BUILD_TYPE=Debug -DSM_COVERAGE=ON
-  cmake --build "$ROOT/build-cov" -j
+  cmake --build "$ROOT/build-cov" -j "$(nproc)"
   # Fresh counters per run: stale .gcda from a previous tree would
   # inflate (or after a refactor, corrupt) the aggregate.
   find "$ROOT/build-cov" -name '*.gcda' -delete
@@ -146,7 +146,7 @@ fi
 if [ "$STAGE" = "all" ] || [ "$STAGE" = "perf" ]; then
   echo "=== stage 5: perf smoke (Release, gated by bench/report.hpp) ==="
   cmake -B "$ROOT/build-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$ROOT/build-release" -j \
+  cmake --build "$ROOT/build-release" -j "$(nproc)" \
         --target bench_event_core bench_ids_fastpath bench_population \
         bench_campaign_scaling
   # Shared runners throttle unpredictably; one bad measurement window
@@ -170,7 +170,7 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "resume" ]; then
   # torn-tail and fork/pipe paths are exactly where lifetime bugs hide.
   cmake -B "$ROOT/build-asan" -S "$ROOT" \
         -DCMAKE_BUILD_TYPE=Debug -DSM_SANITIZE=ON
-  cmake --build "$ROOT/build-asan" -j --target test_checkpoint \
+  cmake --build "$ROOT/build-asan" -j "$(nproc)" --target test_checkpoint \
         test_campaign_resume
   ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$(nproc)" \
         -L resume
@@ -185,7 +185,7 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "resume" ]; then
   # uninterrupted run's. Bounded by the harness's --max-launches stuck
   # detector; seeded for replayability.
   cmake -B "$ROOT/build-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$ROOT/build-release" -j --target sm-campaignd
+  cmake --build "$ROOT/build-release" -j "$(nproc)" --target sm-campaignd
   python3 "$ROOT/tools/crash_harness.py" --build "$ROOT/build-release" \
           --trials 10000 --jobs 4 --kills 20 --seed 1
 fi
@@ -193,7 +193,7 @@ fi
 if [ "$STAGE" = "all" ] || [ "$STAGE" = "tier1" ]; then
   echo "=== stage 7: tier-1 verify (default build) ==="
   cmake -B "$ROOT/build" -S "$ROOT"
-  cmake --build "$ROOT/build" -j
+  cmake --build "$ROOT/build" -j "$(nproc)"
   ctest --test-dir "$ROOT/build" --output-on-failure -j "$(nproc)" \
         --schedule-random
 fi
@@ -206,7 +206,8 @@ fi
 if [ "$STAGE" = "obs" ]; then
   echo "=== focus: observability-labeled tests + sm-explain ==="
   cmake -B "$ROOT/build" -S "$ROOT"
-  cmake --build "$ROOT/build" -j --target test_obs test_provenance sm-explain
+  cmake --build "$ROOT/build" -j "$(nproc)" \
+        --target test_obs test_provenance sm-explain
   ctest --test-dir "$ROOT/build" --output-on-failure -j "$(nproc)" -L obs
   # sm-explain over the censored goldens in all three modes. The Chrome
   # export must load with Python's json module, which rejects raw

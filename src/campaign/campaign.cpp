@@ -249,24 +249,24 @@ CampaignResult run(const std::vector<Trial>& trials,
   std::vector<std::unique_ptr<obs::Registry>> snapshots(trials.size());
 
   // Crash recovery: restore every whole, checksum-valid trial record from
-  // the checkpoint, then execute only what is missing. The append handle
-  // truncates any torn tail, so a crash mid-record-write replays that
-  // trial instead of merging half a record.
-  CheckpointFile ckpt;
+  // the checkpoint, then execute only what is missing. Opening truncates
+  // any torn tail, so a crash mid-record-write replays that trial instead
+  // of merging half a record.
+  common::RecordWriter ckpt;
   const bool checkpointing = !options.checkpoint_path.empty();
   if (checkpointing) {
     CheckpointState state = load_checkpoint(options.checkpoint_path);
     CheckpointMeta meta = checkpoint_meta(trials, options);
     for (auto& [index, decoded] : state.trials) {
-      if (index >= trials.size()) continue;  // meta mismatch; open() throws
+      if (index >= trials.size()) continue;  // meta mismatch; open throws
       result.trials[index] = std::move(decoded.result);
       snapshots[index] = std::move(decoded.snapshot);
       ++result.resumed;
     }
-    ckpt.open(options.checkpoint_path, state, meta);
+    open_checkpoint(ckpt, options.checkpoint_path, state, meta);
     if (options.checkpoint_fault_budget >= 0) {
-      ckpt.writer().set_fault_budget(options.checkpoint_fault_budget,
-                                     [] { ::_exit(kCheckpointFaultExit); });
+      ckpt.set_fault_budget(options.checkpoint_fault_budget,
+                            [] { ::_exit(kCheckpointFaultExit); });
     }
   }
 
@@ -275,36 +275,43 @@ CampaignResult run(const std::vector<Trial>& trials,
   for (size_t i = 0; i < trials.size(); ++i)
     if (!result.trials[i].resumed) pending.push_back(i);
 
-  // Serializes checkpoint appends, the progress count and on_progress.
-  std::mutex progress_mu;
+  // Every finished trial of either backend ends here, one at a time under
+  // the lock: its record (empty when it must not be checkpointed) is
+  // appended before the slot is filled and the progress report fires.
+  std::mutex complete_mu;
   size_t completed = result.resumed;
+  auto complete = [&](TrialResult t, std::unique_ptr<obs::Registry> snapshot,
+                      std::span<const uint8_t> record) {
+    std::lock_guard<std::mutex> lock(complete_mu);
+    if (checkpointing && !record.empty() && !ckpt.append(record))
+      common::log_warn("campaign",
+                       "checkpoint append failed: " + ckpt.error());
+    const size_t i = t.index;
+    Progress prog;
+    prog.completed = ++completed;
+    prog.total = trials.size();
+    prog.trial = i;
+    prog.worker = t.worker;
+    prog.failed = t.failed;
+    prog.wall = t.wall_elapsed;
+    result.trials[i] = std::move(t);
+    snapshots[i] = std::move(snapshot);
+    if (options.on_progress) options.on_progress(prog);
+  };
 
   const auto pool_start = std::chrono::steady_clock::now();
   if (options.backend == Backend::Process) {
-    run_process_shards(trials, options, pending, result, snapshots,
-                       checkpointing ? &ckpt : nullptr, &completed);
+    result.lost = run_process_shards(trials, options, pending, complete);
   } else if (!pending.empty()) {
     auto job = [&](size_t p, int worker) {
       size_t i = pending[p];
-      TrialResult& slot = result.trials[i];
-      execute_trial(trials[i], i, options, slot, &snapshots[i]);
+      TrialResult slot;
+      std::unique_ptr<obs::Registry> snapshot;
+      execute_trial(trials[i], i, options, slot, &snapshot);
       slot.worker = worker;
-      std::lock_guard<std::mutex> lock(progress_mu);
-      ++completed;
-      if (checkpointing && !ckpt.append(slot, snapshots[i].get())) {
-        common::log_warn("campaign", "checkpoint append failed: " +
-                                         ckpt.writer().error());
-      }
-      if (options.on_progress) {
-        Progress prog;
-        prog.completed = completed;
-        prog.total = trials.size();
-        prog.trial = i;
-        prog.worker = worker;
-        prog.failed = slot.failed;
-        prog.wall = slot.wall_elapsed;
-        options.on_progress(prog);
-      }
+      common::Bytes record;
+      if (checkpointing) record = encode_trial_record(slot, snapshot.get());
+      complete(std::move(slot), std::move(snapshot), record);
     };
     run_jobs(pending.size(), job, options);
   }
@@ -313,8 +320,7 @@ CampaignResult run(const std::vector<Trial>& trials,
   // Durability barrier: what this run appended is on disk before the
   // caller reports the campaign done.
   if (checkpointing && !ckpt.sync())
-    common::log_warn("campaign", "checkpoint sync failed: " +
-                                     ckpt.writer().error());
+    common::log_warn("campaign", "checkpoint sync failed: " + ckpt.error());
   ckpt.close();
 
   finalize_campaign(result, snapshots, options);

@@ -40,8 +40,7 @@
 
 namespace sm::campaign {
 
-/// Factory signature: builds a probe bound to the given testbed (same
-/// shape as bench_util's factories).
+/// Factory signature: builds a probe bound to the given testbed.
 using ProbeFactory =
     std::function<std::unique_ptr<core::Probe>(core::Testbed&)>;
 
@@ -157,9 +156,8 @@ struct TrialResult {
   common::Duration wall_setup, wall_run, wall_finish;
   /// Worker that ran the trial (diagnostic; never serialized).
   int worker = -1;
-  /// True when this slot was filled from a checkpoint record (or decoded
-  /// from a process-shard worker's stream) rather than executed by this
-  /// run's pool. Wall-clock fields are zero then.
+  /// True when this slot was restored from a checkpoint record rather
+  /// than executed by this run's pool. Wall-clock fields are zero then.
   bool resumed = false;
   /// Deterministic causal-graph export, for trials whose config sets
   /// enable_provenance (serialized verbatim into the trial's JSONL row);

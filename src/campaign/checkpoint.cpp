@@ -225,34 +225,18 @@ CheckpointState load_checkpoint(const std::string& path) {
   return state;
 }
 
-void CheckpointFile::open(const std::string& path,
-                          const CheckpointState& state,
-                          const CheckpointMeta& meta) {
+void open_checkpoint(common::RecordWriter& writer, const std::string& path,
+                     const CheckpointState& state, const CheckpointMeta& meta) {
   if (state.has_meta && !state.meta.matches(meta)) {
     throw std::runtime_error(
         "checkpoint " + path + " belongs to a different campaign (" +
         state.meta.describe() + " vs " + meta.describe() + ")");
   }
   int64_t valid = static_cast<int64_t>(state.valid_bytes);
-  if (!writer_.open(path, kCheckpointTag, state.has_meta ? valid : 0)) {
-    throw std::runtime_error("checkpoint: " + writer_.error());
-  }
-  if (!state.has_meta) {
-    if (!writer_.append(encode_meta_record(meta))) {
-      throw std::runtime_error("checkpoint: " + writer_.error());
-    }
+  if (!writer.open(path, kCheckpointTag, state.has_meta ? valid : 0) ||
+      (!state.has_meta && !writer.append(encode_meta_record(meta)))) {
+    throw std::runtime_error("checkpoint: " + writer.error());
   }
 }
-
-bool CheckpointFile::append(const TrialResult& result,
-                            const obs::Registry* snapshot) {
-  return writer_.append(encode_trial_record(result, snapshot));
-}
-
-bool CheckpointFile::append_raw(std::span<const uint8_t> payload) {
-  return writer_.append(payload);
-}
-
-bool CheckpointFile::sync() { return writer_.sync(); }
 
 }  // namespace sm::campaign

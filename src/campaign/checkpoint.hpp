@@ -66,9 +66,9 @@ struct DecodedTrial {
   std::unique_ptr<obs::Registry> snapshot;
 };
 
-/// Codec (exposed for the round-trip/fuzz tests; campaign code goes
-/// through CheckpointFile). Doubles are stored as IEEE-754 bit patterns,
-/// so encode→decode→encode is a fixpoint.
+/// Codec. A trial record is what goes through RecordWriter::append, and
+/// what a process-shard worker sends its controller. Doubles are stored
+/// as IEEE-754 bit patterns, so encode→decode→encode is a fixpoint.
 common::Bytes encode_meta_record(const CheckpointMeta& meta);
 common::Bytes encode_trial_record(const TrialResult& result,
                                   const obs::Registry* snapshot);
@@ -100,30 +100,14 @@ struct CheckpointState {
 /// returned state instead.
 CheckpointState load_checkpoint(const std::string& path);
 
-/// Append-side handle: opens the file positioned after the clean prefix
-/// (truncating any torn tail), stamping a Meta record when the file is
-/// fresh. Refuses (throws) when an existing checkpoint's meta does not
-/// match `meta` — resuming the wrong campaign must be loud.
-class CheckpointFile {
- public:
-  /// `state` must come from load_checkpoint on the same path.
-  void open(const std::string& path, const CheckpointState& state,
-            const CheckpointMeta& meta);
-  /// Appends one completed trial (flushed to the OS before returning).
-  /// Returns false once the underlying writer is dead.
-  bool append(const TrialResult& result, const obs::Registry* snapshot);
-  /// Raw frame append — the process-shard controller relays already-
-  /// encoded records from workers without re-encoding.
-  bool append_raw(std::span<const uint8_t> payload);
-  bool sync();
-  void close() { writer_.close(); }
-  bool is_open() const { return writer_.is_open(); }
-
-  /// Fault-injection passthrough (see RecordWriter::set_fault_budget).
-  common::RecordWriter& writer() { return writer_; }
-
- private:
-  common::RecordWriter writer_;
-};
+/// Opens `writer` on the checkpoint at `path`, positioned after the
+/// clean prefix (truncating any torn tail), and stamps a Meta record when
+/// the file is fresh; trial records then go in through writer.append
+/// (encode_trial_record bytes). `state` must come from load_checkpoint on
+/// the same path. Throws when an existing checkpoint's meta does not
+/// match `meta` (resuming the wrong campaign must be loud) or on I/O
+/// failure.
+void open_checkpoint(common::RecordWriter& writer, const std::string& path,
+                     const CheckpointState& state, const CheckpointMeta& meta);
 
 }  // namespace sm::campaign

@@ -8,6 +8,7 @@
 #include <deque>
 #include <stdexcept>
 
+#include "campaign/checkpoint.hpp"
 #include "common/logging.hpp"
 #include "common/proc.hpp"
 #include "common/recordio.hpp"
@@ -17,9 +18,7 @@ namespace sm::campaign {
 
 namespace {
 
-constexpr size_t kFrameHeader = 8;           // u32 len | u32 crc
-constexpr uint32_t kMaxFrame = 1u << 28;     // same sanity bound as recordio
-constexpr size_t kWallTrailer = 4 * 8;       // four u64 nanosecond counts
+constexpr size_t kWallTrailer = 4 * 8;  // four u64 nanosecond counts
 // Dynamic positions outstanding per worker. With several queued, a
 // worker always has its next position in hand instead of idling through
 // a pipe round-trip and the controller's decode of its last frame; a
@@ -46,19 +45,6 @@ struct WorkerSlot {
   common::proc::ExitStatus status;
 };
 
-uint64_t read_u64be(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = v << 8 | p[i];
-  return v;
-}
-
-void write_u64be(uint8_t* p, uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    p[i] = static_cast<uint8_t>(v);
-    v >>= 8;
-  }
-}
-
 // Worker-process body: runs its share of the pending list, streaming one
 // frame per trial. Returns nonzero when the controller vanished (EPIPE)
 // or the cmd stream tore mid-command.
@@ -67,26 +53,22 @@ int worker_body(const std::vector<Trial>& trials,
                 const std::vector<size_t>& pending, size_t w, size_t workers,
                 int cmd_rd, int result_wr) {
   common::set_log_worker_id(static_cast<int>(w));
+  common::Bytes frame;
   auto run_one = [&](size_t pos) -> bool {
     if (pos >= pending.size()) return false;
     size_t i = pending[pos];
     TrialResult slot;
     std::unique_ptr<obs::Registry> snapshot;
     execute_trial(trials[i], i, options, slot, &snapshot);
-    common::Bytes record = encode_trial_record(slot, snapshot.get());
-    common::ByteWriter payload(record.size() + 4 + kWallTrailer);
-    payload.u32(static_cast<uint32_t>(record.size()));
-    payload.bytes(record);
-    payload.u64(static_cast<uint64_t>(slot.wall_elapsed.count()));
-    payload.u64(static_cast<uint64_t>(slot.wall_setup.count()));
-    payload.u64(static_cast<uint64_t>(slot.wall_run.count()));
-    payload.u64(static_cast<uint64_t>(slot.wall_finish.count()));
-    common::ByteWriter frame(kFrameHeader + payload.size());
-    frame.u32(static_cast<uint32_t>(payload.size()));
-    frame.u32(common::crc32(payload.data()));
-    frame.bytes(payload.data());
-    return common::proc::write_exact(result_wr, frame.data().data(),
-                                     frame.size());
+    common::Bytes payload = encode_trial_record(slot, snapshot.get());
+    common::ByteWriter wall(kWallTrailer);
+    for (common::Duration d : {slot.wall_elapsed, slot.wall_setup,
+                               slot.wall_run, slot.wall_finish})
+      wall.u64(static_cast<uint64_t>(d.count()));
+    payload.insert(payload.end(), wall.data().begin(), wall.data().end());
+    frame.clear();
+    common::append_frame(frame, payload);
+    return common::proc::write_exact(result_wr, frame.data(), frame.size());
   };
   if (options.shard == Shard::ByIndex) {
     for (size_t pos = w; pos < pending.size(); pos += workers)
@@ -103,18 +85,17 @@ int worker_body(const std::vector<Trial>& trials,
       if (n < 0) return 1;
       got += static_cast<size_t>(n);
     }
-    if (!run_one(read_u64be(buf))) return 1;
+    if (!run_one(common::ByteReader(buf).u64())) return 1;
   }
 }
 
 }  // namespace
 
-void run_process_shards(
-    const std::vector<Trial>& trials, const CampaignOptions& options,
-    const std::vector<size_t>& pending, CampaignResult& result,
-    std::vector<std::unique_ptr<obs::Registry>>& snapshots,
-    CheckpointFile* checkpoint, size_t* completed) {
-  if (pending.empty()) return;
+size_t run_process_shards(const std::vector<Trial>& trials,
+                          const CampaignOptions& options,
+                          const std::vector<size_t>& pending,
+                          const TrialDone& done) {
+  if (pending.empty()) return 0;
   SigpipeGuard sigpipe;
   const bool dynamic = options.shard == Shard::Dynamic;
   const size_t workers =
@@ -163,9 +144,9 @@ void run_process_shards(
     }
     size_t pos = next_pos++;
     ws[w].outstanding.push_back(pos);
-    uint8_t buf[8];
-    write_u64be(buf, pos);
-    if (!common::proc::write_exact(ws[w].cmd.wr, buf, sizeof buf))
+    common::ByteWriter cmd(8);
+    cmd.u64(pos);
+    if (!common::proc::write_exact(ws[w].cmd.wr, cmd.data().data(), cmd.size()))
       common::proc::close_fd(ws[w].cmd.wr);
   };
   if (dynamic) {
@@ -180,80 +161,53 @@ void run_process_shards(
     next_pos = pending.size();
   }
 
-  auto report = [&](size_t i, int worker, common::Duration wall) {
-    ++*completed;
-    if (!options.on_progress) return;
-    Progress prog;
-    prog.completed = *completed;
-    prog.total = trials.size();
-    prog.trial = i;
-    prog.worker = worker;
-    prog.failed = result.trials[i].failed;
-    prog.wall = wall;
-    options.on_progress(prog);
-  };
-
   // A position no worker finished becomes an error row — failed alone,
-  // counted as lost, never checkpointed, re-run by the next resume.
+  // counted as lost, handed on without a record so it is never
+  // checkpointed, and re-run by the next resume.
+  size_t lost = 0;
   auto lose = [&](size_t pos, int worker, const std::string& error) {
-    size_t i = pending[pos];
-    TrialResult& t = result.trials[i];
-    t.index = i;
-    t.name = trials[i].name;
+    TrialResult t;
+    t.index = pending[pos];
+    t.name = trials[t.index].name;
     t.worker = worker;
     t.failed = true;
     t.error = error;
-    ++result.lost;
-    common::log_warn("campaign",
-                     "trial " + std::to_string(i) + " lost: " + t.error);
-    report(i, worker, {});
+    ++lost;
+    common::log_warn("campaign", "trial " + std::to_string(t.index) +
+                                     " lost: " + t.error);
+    done(std::move(t), nullptr, {});
   };
 
   auto record_done = [&](size_t w, std::span<const uint8_t> payload) {
-    common::ByteReader r(payload);
-    uint32_t record_len = r.u32();
-    std::span<const uint8_t> record = r.bytes(record_len);
-    common::Duration wall_elapsed =
-        common::Duration::nanos(static_cast<int64_t>(r.u64()));
-    common::Duration wall_setup =
-        common::Duration::nanos(static_cast<int64_t>(r.u64()));
-    common::Duration wall_run =
-        common::Duration::nanos(static_cast<int64_t>(r.u64()));
-    common::Duration wall_finish =
-        common::Duration::nanos(static_cast<int64_t>(r.u64()));
-    if (!r.ok() || r.remaining() != 0)
+    if (payload.size() < kWallTrailer)
       throw std::runtime_error("worker frame: malformed payload");
+    // The record goes on byte-for-byte as the worker encoded it, so a
+    // later resume decodes exactly this trial.
+    std::span<const uint8_t> record =
+        payload.first(payload.size() - kWallTrailer);
+    common::ByteReader wall(payload.last(kWallTrailer));
     CheckpointMeta meta;
     DecodedTrial decoded;
     bool is_meta = false;
     decode_record(record, &meta, &decoded, &is_meta);
     if (is_meta) throw std::runtime_error("worker frame: unexpected meta");
-    size_t i = decoded.result.index;
-    if (i >= trials.size())
+    TrialResult& t = decoded.result;
+    if (t.index >= trials.size())
       throw std::runtime_error("worker frame: index out of range");
-    // Same record bytes the worker produced go to the checkpoint — the
-    // relay adds nothing, so a later resume decodes exactly this trial.
-    if (checkpoint != nullptr && !checkpoint->append_raw(record)) {
-      common::log_warn("campaign", "checkpoint append failed: " +
-                                       checkpoint->writer().error());
-    }
-    decoded.result.resumed = false;  // it ran this run, in a child
-    decoded.result.worker = static_cast<int>(w);
-    decoded.result.wall_elapsed = wall_elapsed;
-    decoded.result.wall_setup = wall_setup;
-    decoded.result.wall_run = wall_run;
-    decoded.result.wall_finish = wall_finish;
-    result.trials[i] = std::move(decoded.result);
-    snapshots[i] = std::move(decoded.snapshot);
+    t.resumed = false;  // it ran this run, in a child
+    t.worker = static_cast<int>(w);
+    for (common::Duration* d :
+         {&t.wall_elapsed, &t.wall_setup, &t.wall_run, &t.wall_finish})
+      *d = common::Duration::nanos(static_cast<int64_t>(wall.u64()));
     // Retire the position this index came from.
     auto& out = ws[w].outstanding;
     for (auto it = out.begin(); it != out.end(); ++it) {
-      if (pending[*it] == i) {
+      if (pending[*it] == t.index) {
         out.erase(it);
         break;
       }
     }
-    report(i, static_cast<int>(w), wall_elapsed);
+    done(std::move(t), std::move(decoded.snapshot), record);
     feed(w);
   };
 
@@ -274,6 +228,15 @@ void run_process_shards(
            common::format("worker %zu %s before trial completed", w,
                           reason.c_str()));
     slot.outstanding.clear();
+  };
+
+  // A worker whose stream cannot be trusted any more is killed first, so
+  // it cannot write past the poison, then retired.
+  auto poison = [&](size_t w, const std::string& what, const char* cause) {
+    common::log_warn("campaign",
+                     "worker " + std::to_string(w) + ": " + what + ", killing");
+    ::kill(ws[w].pid, SIGKILL);
+    retire_worker(w, cause);
   };
 
   std::vector<pollfd> fds;
@@ -305,41 +268,27 @@ void run_process_shards(
         // the rest of the buffer once per frame. A trailing partial frame
         // waits for more bytes (or becomes a casualty at EOF).
         size_t off = 0;
-        while (buffer.size() - off >= kFrameHeader) {
-          common::ByteReader hdr(
-              std::span<const uint8_t>(buffer).subspan(off, kFrameHeader));
-          uint32_t len = hdr.u32();
-          uint32_t crc = hdr.u32();
-          if (len > kMaxFrame) {
-            common::log_warn("campaign", "worker " + std::to_string(w) +
-                                             ": oversized frame, killing");
-            ::kill(ws[w].pid, SIGKILL);
-            retire_worker(w, "sent an oversized frame");
+        for (;;) {
+          common::Frame frame =
+              common::next_frame(std::span<const uint8_t>(buffer).subspan(off));
+          if (frame.status == common::Frame::Short) break;
+          if (frame.status == common::Frame::Oversize) {
+            poison(w, "oversized frame", "sent an oversized frame");
             break;
           }
-          if (buffer.size() - off - kFrameHeader < len) break;
-          std::span<const uint8_t> payload(
-              buffer.data() + off + kFrameHeader, len);
-          if (common::crc32(payload) != crc) {
-            common::log_warn("campaign", "worker " + std::to_string(w) +
-                                             ": frame checksum mismatch, "
-                                             "killing");
-            ::kill(ws[w].pid, SIGKILL);
-            retire_worker(w, "sent a corrupt frame");
+          if (frame.status == common::Frame::Corrupt) {
+            poison(w, "frame checksum mismatch", "sent a corrupt frame");
             break;
           }
           try {
-            record_done(w, payload);
+            record_done(w, frame.payload);
           } catch (const std::exception& e) {
             // A frame that passed its CRC but does not parse is version
             // skew or a worker bug — poison, not recoverable data.
-            common::log_warn("campaign", "worker " + std::to_string(w) +
-                                             ": " + e.what() + ", killing");
-            ::kill(ws[w].pid, SIGKILL);
-            retire_worker(w, "sent an undecodable frame");
+            poison(w, e.what(), "sent an undecodable frame");
             break;
           }
-          off += kFrameHeader + len;
+          off += frame.size;
         }
         buffer.erase(buffer.begin(), buffer.begin() + off);
       } else if (n == 0) {
@@ -353,6 +302,7 @@ void run_process_shards(
   // one left to run them.
   while (next_pos < pending.size())
     lose(next_pos++, -1, "no live worker left");
+  return lost;
 }
 
 }  // namespace sm::campaign

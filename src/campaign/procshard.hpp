@@ -12,17 +12,17 @@
 //
 // Protocol (controller <-> forked worker, no exec — closures survive):
 //
-//   result pipe (worker -> controller), framed:
+//   result pipe (worker -> controller): common/recordio frames,
 //     u32 payload_len | u32 crc32(payload) | payload
-//     payload: u32 record_len | trial record (checkpoint codec)
+//     payload: trial record (checkpoint codec)
 //              | u64 wall_elapsed_ns | u64 setup | u64 run | u64 finish
 //   cmd pipe (controller -> worker, Dynamic only):
 //     u64 big-endian position into the pending list, one per trial;
 //     EOF = no more work.
 //
-// The trial record inside the frame is byte-for-byte what the checkpoint
-// stores, so the controller relays it to the checkpoint file without
-// re-encoding; the wall-clock trailer rides outside the record because
+// The trial record is byte-for-byte what the checkpoint stores, so the
+// controller hands it on for the checkpoint without re-encoding; the
+// fixed 32-byte wall-clock trailer rides outside the record because
 // records must stay deterministic. The worker's record carries the
 // Testbed's own registry (Testbed::release_metrics), not a copy of it.
 // ByIndex shares are static (worker w runs pending positions w, w+W, …).
@@ -34,26 +34,30 @@
 // never handed out fail too ("no live worker left").
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "campaign/checkpoint.hpp"
 
 namespace sm::campaign {
 
+/// Receives one finished trial: its result, its metrics snapshot (null
+/// when observability was off) and its checkpoint record bytes. `record`
+/// is empty for a position lost to a worker death; such a row must never
+/// be checkpointed, so a resume re-runs it.
+using TrialDone = std::function<void(
+    TrialResult, std::unique_ptr<obs::Registry>, std::span<const uint8_t>)>;
+
 /// Executes the `pending` positions (indices into `trials`) in forked
-/// worker processes, filling result.trials slots and `snapshots` as
-/// framed records arrive. Each completed record is appended to
-/// `checkpoint` (when non-null) before on_progress fires; worker-crash
-/// casualties get error rows naming the exit status, count in
-/// result.lost and are NOT checkpointed. `completed` is the campaign-wide progress count
-/// (already primed with the resumed count); the controller is one
-/// thread, so it advances it by one before each on_progress call.
-void run_process_shards(
-    const std::vector<Trial>& trials, const CampaignOptions& options,
-    const std::vector<size_t>& pending, CampaignResult& result,
-    std::vector<std::unique_ptr<obs::Registry>>& snapshots,
-    CheckpointFile* checkpoint, size_t* completed);
+/// worker processes and hands every position to `done` exactly once, on
+/// the calling thread: as a decoded trial when its frame arrives, or as
+/// an error row naming the worker's exit status when the worker died
+/// first. Returns how many positions were lost that way.
+size_t run_process_shards(const std::vector<Trial>& trials,
+                          const CampaignOptions& options,
+                          const std::vector<size_t>& pending,
+                          const TrialDone& done);
 
 }  // namespace sm::campaign

@@ -16,10 +16,6 @@ namespace {
 constexpr char kMagic[4] = {'S', 'M', 'R', 'F'};
 constexpr uint16_t kVersion = 1;
 constexpr size_t kHeaderSize = 8;
-constexpr size_t kFrameHeader = 8;  // u32 len + u32 crc
-/// Sanity cap on a single payload: a corrupted length field must not
-/// turn into a multi-gigabyte allocation during recovery.
-constexpr uint32_t kMaxPayload = 1u << 28;
 
 /// Slicing-by-8 tables: kCrc[0] is the classic byte table, and
 /// kCrc[k][i] is the CRC of byte i followed by k zero bytes, so one
@@ -72,6 +68,27 @@ uint32_t crc32(std::span<const uint8_t> data, uint32_t seed) {
   }
   for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+void append_frame(Bytes& out, std::span<const uint8_t> payload) {
+  const size_t at = out.size();
+  out.resize(at + kFrameHeader + payload.size());
+  uint8_t* frame = out.data() + at;
+  write_be32(frame, static_cast<uint32_t>(payload.size()));
+  write_be32(frame + 4, crc32(payload));
+  if (!payload.empty())  // empty spans may carry a null data()
+    std::memcpy(frame + kFrameHeader, payload.data(), payload.size());
+}
+
+Frame next_frame(std::span<const uint8_t> buf) {
+  if (buf.size() < kFrameHeader) return {};
+  const uint32_t len = read_be32(buf.data());
+  if (len > kMaxPayload) return {Frame::Oversize, {}, 0};
+  if (buf.size() - kFrameHeader < len) return {};
+  std::span<const uint8_t> payload = buf.subspan(kFrameHeader, len);
+  if (crc32(payload) != read_be32(buf.data() + 4))
+    return {Frame::Corrupt, {}, 0};
+  return {Frame::Whole, payload, kFrameHeader + len};
 }
 
 RecordScan scan_records(const std::string& path, uint16_t app_tag,
@@ -218,11 +235,8 @@ bool RecordWriter::append(std::span<const uint8_t> payload) {
     dead_ = true;
     return false;
   }
-  Bytes frame(kFrameHeader + payload.size());
-  write_be32(frame.data(), static_cast<uint32_t>(payload.size()));
-  write_be32(frame.data() + 4, crc32(payload));
-  if (!payload.empty())  // empty spans may carry a null data()
-    std::memcpy(frame.data() + kFrameHeader, payload.data(), payload.size());
+  Bytes frame;
+  append_frame(frame, payload);
 
   size_t len = frame.size();
   if (fault_budget_ >= 0 && static_cast<int64_t>(len) > fault_budget_) {

@@ -2,7 +2,8 @@
 // campaign checkpoint layer.
 //
 // A record file is a fixed 8-byte header followed by length-prefixed,
-// CRC-guarded frames:
+// CRC-guarded frames (the same frames carry trial records over the
+// process-shard result pipes):
 //
 //   "SMRF" magic | u16 version | u16 app tag
 //   [ u32 payload_len | u32 crc32(payload) | payload bytes ]*
@@ -40,6 +41,34 @@ inline uint32_t crc32(std::string_view s, uint32_t seed = 0) {
                    reinterpret_cast<const uint8_t*>(s.data()), s.size()),
                seed);
 }
+
+/// Frame header: u32 payload length | u32 crc32(payload), big-endian.
+inline constexpr size_t kFrameHeader = 8;
+/// Cap on one payload: a corrupted length field must not turn into a
+/// multi-gigabyte allocation. Readers refuse a longer frame as Oversize.
+inline constexpr uint32_t kMaxPayload = 1u << 28;
+
+/// Appends one frame (header, then `payload`) to `out`. `payload` must
+/// not point into `out`.
+void append_frame(Bytes& out, std::span<const uint8_t> payload);
+
+/// What next_frame found at the front of a buffer.
+struct Frame {
+  enum Status {
+    Whole,     // a complete frame whose payload passed its checksum
+    Short,     // the buffer ends inside the frame: wait for more bytes
+    Oversize,  // the length field exceeds kMaxPayload
+    Corrupt,   // a complete frame whose payload fails its checksum
+  };
+  Status status = Short;
+  std::span<const uint8_t> payload;  // Whole only; points into the buffer
+  size_t size = 0;                   // Whole only: header + payload bytes
+};
+
+/// Parses the frame at the front of `buf`, which may hold more frames
+/// after it. Oversize is known from the header alone, before the payload
+/// arrives.
+Frame next_frame(std::span<const uint8_t> buf);
 
 /// Result of scanning a record file's clean prefix.
 struct RecordScan {

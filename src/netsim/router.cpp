@@ -7,6 +7,16 @@
 
 namespace sm::netsim {
 
+namespace {
+
+// An address as a compiled-LPM key: its value, big-endian order.
+uint32_t lpm_key(Ipv4Address a) { return a.value(); }
+unsigned __int128 lpm_key(Ipv6Address a) {
+  return static_cast<unsigned __int128>(a.hi()) << 64 | a.lo();
+}
+
+}  // namespace
+
 Router::Router(Engine& engine, std::string name)
     : Node(std::move(name), NodeKind::Router), engine_(engine) {}
 
@@ -28,101 +38,65 @@ void Router::add_route6(Cidr6 prefix, int port) {
 // The paint produces a sorted list of disjoint half-open intervals; a
 // lookup is one binary search. Rebuilds lazily, so bulk add_route during
 // topology construction is O(1) per call and a 100k-host edge router
-// compiles its table once, on first traffic.
-void Router::compile_routes() const {
-  std::vector<size_t> order(routes_.size());
+// compiles its table once, on first traffic. Both families paint the
+// same way over their own key width; a prefix that reaches the top of
+// the space has an end that wraps to 0, and then no resume boundary.
+template <typename Key, typename Prefix>
+void Router::compile_lpm(const std::vector<std::pair<Prefix, int>>& routes,
+                         std::vector<Key>& starts,
+                         std::vector<int32_t>& ports) {
+  constexpr unsigned kBits = sizeof(Key) * 8;
+  std::vector<size_t> order(routes.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    uint8_t la = routes_[a].first.prefix_len();
-    uint8_t lb = routes_[b].first.prefix_len();
+    uint8_t la = routes[a].first.prefix_len();
+    uint8_t lb = routes[b].first.prefix_len();
     if (la != lb) return la < lb;
     return a > b;
   });
 
-  // Boundary map over [0, 2^32): key -> egress port for [key, next key).
-  // 64-bit keys so a /0 route's end (2^32) never wraps.
-  std::map<uint64_t, int32_t> seg;
+  // Boundary map: key -> egress port for [key, next key).
+  std::map<Key, int32_t> seg;
   seg[0] = kNoRoute;
-  constexpr uint64_t kTop = uint64_t{1} << 32;
   for (size_t i : order) {
-    const Cidr& prefix = routes_[i].first;
-    const uint64_t lo = prefix.network().value();
-    const uint64_t hi = lo + prefix.size();
-    auto after = seg.upper_bound(hi);
+    const Prefix& prefix = routes[i].first;
+    const Key lo = lpm_key(prefix.network());
+    const unsigned len = prefix.prefix_len();
+    const Key end = (len == kBits ? lo : lo | (~Key{0} >> len)) + 1;
+    auto after = end == 0 ? seg.end() : seg.upper_bound(end);
     int32_t resume = std::prev(after)->second;
     seg.erase(seg.lower_bound(lo), after);
-    seg[lo] = routes_[i].second;
-    if (hi < kTop) seg[hi] = resume;
+    seg[lo] = routes[i].second;
+    if (end != 0) seg[end] = resume;
   }
 
-  lpm_starts_.clear();
-  lpm_ports_.clear();
+  starts.clear();
+  ports.clear();
   for (const auto& [start, port] : seg) {
-    if (!lpm_ports_.empty() && lpm_ports_.back() == port) continue;
-    lpm_starts_.push_back(static_cast<uint32_t>(start));
-    lpm_ports_.push_back(port);
+    if (!ports.empty() && ports.back() == port) continue;
+    starts.push_back(start);
+    ports.push_back(port);
   }
-  lpm_dirty_ = false;
-}
-
-// The v6 paint is the same algorithm over 128-bit keys. A /0 route's end
-// would be 2^129, which no fixed-width key can hold; since the network
-// address is masked, lo + size only wraps to zero for /0, and a wrapped
-// end simply means "no resume boundary" — mirroring the v4 kTop guard.
-void Router::compile_routes6() const {
-  using U128 = unsigned __int128;
-  std::vector<size_t> order(routes6_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    uint8_t la = routes6_[a].first.prefix_len();
-    uint8_t lb = routes6_[b].first.prefix_len();
-    if (la != lb) return la < lb;
-    return a > b;
-  });
-
-  std::map<U128, int32_t> seg;
-  seg[0] = kNoRoute;
-  for (size_t i : order) {
-    const Cidr6& prefix = routes6_[i].first;
-    const U128 lo = static_cast<U128>(prefix.network().hi()) << 64 |
-                    prefix.network().lo();
-    const uint8_t len = prefix.prefix_len();
-    const U128 hi =
-        len == 0 ? 0
-                 : lo + (len == 128 ? 1 : static_cast<U128>(1)
-                                              << (128 - len));
-    auto after = hi == 0 ? seg.end() : seg.upper_bound(hi);
-    int32_t resume = after == seg.begin()
-                         ? kNoRoute
-                         : std::prev(after)->second;
-    seg.erase(seg.lower_bound(lo), after);
-    seg[lo] = routes6_[i].second;
-    if (hi != 0) seg[hi] = resume;
-  }
-
-  lpm6_starts_.clear();
-  lpm6_ports_.clear();
-  for (const auto& [start, port] : seg) {
-    if (!lpm6_ports_.empty() && lpm6_ports_.back() == port) continue;
-    lpm6_starts_.push_back(start);
-    lpm6_ports_.push_back(port);
-  }
-  lpm6_dirty_ = false;
 }
 
 int Router::route_lookup(const IpAddress& dst) const {
   if (dst.is_v6()) {
-    if (lpm6_dirty_) compile_routes6();
-    unsigned __int128 key =
-        static_cast<unsigned __int128>(dst.v6().hi()) << 64 | dst.v6().lo();
-    auto it = std::upper_bound(lpm6_starts_.begin(), lpm6_starts_.end(), key);
+    if (lpm6_dirty_) {
+      compile_lpm(routes6_, lpm6_starts_, lpm6_ports_);
+      lpm6_dirty_ = false;
+    }
+    auto it = std::upper_bound(lpm6_starts_.begin(), lpm6_starts_.end(),
+                               lpm_key(dst.v6()));
     int32_t port =
         lpm6_ports_[static_cast<size_t>(it - lpm6_starts_.begin()) - 1];
     return port == kNoRoute ? default_port_ : port;
   }
-  if (lpm_dirty_) compile_routes();
+  if (lpm_dirty_) {
+    compile_lpm(routes_, lpm_starts_, lpm_ports_);
+    lpm_dirty_ = false;
+  }
   auto it = std::upper_bound(lpm_starts_.begin(), lpm_starts_.end(),
-                             dst.v4().value());
+                             lpm_key(dst.v4()));
   int32_t port = lpm_ports_[static_cast<size_t>(it - lpm_starts_.begin()) - 1];
   return port == kNoRoute ? default_port_ : port;
 }

@@ -130,9 +130,11 @@ class Router : public Node {
   void forward(packet::Packet packet, const packet::Decoded& decoded,
                int in_port);
 
-  void compile_routes() const;
-
-  void compile_routes6() const;
+  /// Paints `routes` into the compiled interval table (see router.cpp).
+  template <typename Key, typename Prefix>
+  static void compile_lpm(const std::vector<std::pair<Prefix, int>>& routes,
+                          std::vector<Key>& starts,
+                          std::vector<int32_t>& ports);
 
   Engine& engine_;
   std::vector<std::pair<Cidr, int>> routes_;    // insertion order

@@ -79,37 +79,19 @@ bool confirmed_blocked(const ProbeReport& report) {
   return report.confidence.confirmed();
 }
 
-/// Everything one execution of a scenario yields. The O3/O5 raw
-/// material is collected while the testbed is alive; the JSON strings
-/// are what O2 byte-compares across executions.
-struct Execution {
-  ProbeReport report;
-  RiskReport risk;
-  std::string report_json;
-  std::string risk_json;
-  std::string metrics_json;
-  std::string provenance_json;
-  size_t graph_probe_caused_alerts = 0;
-  size_t graph_stored_alerts = 0;
-  size_t replies_crossed_tap = 0;
-  size_t replies_reached_client = 0;
-  size_t sav_violations = 0;
-  size_t packets_checked = 0;
-  size_t packets_undecodable = 0;
-  std::vector<Failure> o5_failures;
-};
-
+/// O5's packet checks over the capture of a live testbed: counts into
+/// `out`, failures into `o5`.
 void check_codecs(const Scenario& scenario, const Testbed& tb,
-                  Execution& exec) {
+                  TrialOutcome& out, std::vector<Failure>& o5) {
   const bool corruption_possible =
       scenario.impair.any() && scenario.impair.model.corrupt_rate > 0.0;
   for (const packet::PcapRecord& rec : tb.trace->records()) {
-    ++exec.packets_checked;
+    ++out.packets_checked;
     auto decoded = packet::decode(std::span<const uint8_t>(rec.data));
     if (!decoded) {
-      ++exec.packets_undecodable;
+      ++out.packets_undecodable;
       if (!corruption_possible) {
-        exec.o5_failures.push_back(
+        o5.push_back(
             {"O5", "undecodable packet in trace with corruption disabled"});
       }
       continue;
@@ -121,11 +103,9 @@ void check_codecs(const Scenario& scenario, const Testbed& tb,
         Bytes once = proto::dns::encode(*msg);
         auto again = proto::dns::decode(std::span<const uint8_t>(once));
         if (!again) {
-          exec.o5_failures.push_back(
-              {"O5", "re-encoded DNS message failed to parse"});
+          o5.push_back({"O5", "re-encoded DNS message failed to parse"});
         } else if (proto::dns::encode(*again) != once) {
-          exec.o5_failures.push_back(
-              {"O5", "DNS encode/parse did not reach a fixpoint"});
+          o5.push_back({"O5", "DNS encode/parse did not reach a fixpoint"});
         }
       }
     }
@@ -139,11 +119,10 @@ void check_codecs(const Scenario& scenario, const Testbed& tb,
       if (rebuilt6.data().size() != wire.size() ||
           !std::equal(rebuilt6.data().begin(), rebuilt6.data().end(),
                       wire.begin())) {
-        exec.o5_failures.push_back(
-            {"O5", "v6 decode -> reassemble6 changed the datagram"});
+        o5.push_back({"O5", "v6 decode -> reassemble6 changed the datagram"});
       } else if (!d.ip6->has_fragment && !corruption_possible &&
                  !packet::verify_checksums(wire)) {
-        exec.o5_failures.push_back({"O5", "v6 datagram checksums invalid"});
+        o5.push_back({"O5", "v6 datagram checksums invalid"});
       }
       continue;
     }
@@ -174,7 +153,7 @@ void check_codecs(const Scenario& scenario, const Testbed& tb,
     }
     auto redecoded = packet::decode(rebuilt);
     if (!redecoded) {
-      exec.o5_failures.push_back({"O5", "rebuilt packet failed to decode"});
+      o5.push_back({"O5", "rebuilt packet failed to decode"});
       continue;
     }
     const packet::Decoded& r = *redecoded;
@@ -200,18 +179,21 @@ void check_codecs(const Scenario& scenario, const Testbed& tb,
              r.icmp->code == d.icmp->code && r.icmp->rest == d.icmp->rest;
     }
     if (!same) {
-      exec.o5_failures.push_back(
-          {"O5", "decode -> rebuild -> decode changed packet fields"});
+      o5.push_back({"O5", "decode -> rebuild -> decode changed packet fields"});
     } else if (!packet::verify_checksums(
                    std::span<const uint8_t>(rebuilt.data()))) {
-      exec.o5_failures.push_back({"O5", "rebuilt packet checksums invalid"});
+      o5.push_back({"O5", "rebuilt packet checksums invalid"});
     }
   }
 }
 
-Execution execute(const Scenario& scenario, const SeedPack& seeds,
-                  const Faults& faults, bool want_packet_checks) {
-  Execution exec;
+/// Runs the scenario once, filling every per-run field of `out` (the
+/// JSON strings are what O2 byte-compares across executions; the O3/O5
+/// raw material is collected while the testbed is alive). O5's packet
+/// checks run only when `o5` is non-null.
+void execute(const Scenario& scenario, const SeedPack& seeds,
+             const Faults& faults, TrialOutcome& out,
+             std::vector<Failure>* o5) {
   Testbed tb(scenario.testbed_config(seeds.sav, seeds.mvr, seeds.netsim));
   const Ipv4Address measurement = tb.addr().measurement;
   std::set<Ipv4Address> neighbor_set;
@@ -224,13 +206,13 @@ Execution execute(const Scenario& scenario, const SeedPack& seeds,
   if (scenario.technique == Technique::MimicryStateful) {
     for (netsim::Host* n : tb.neighbors) {
       uint64_t id = n->add_promiscuous(
-          [&exec, measurement](const packet::Decoded& d, const Bytes&) {
+          [&out, measurement](const packet::Decoded& d, const Bytes&) {
             // RSTs claiming the server's address are censor injections
             // (tearing the cover flows down is the cover story working);
             // the Fig. 3b hazard is a SYN-ACK/data *reply* surviving to
             // the spoofed client's stack.
             if (d.ip.src == measurement && !(d.tcp && d.tcp->rst())) {
-              ++exec.replies_reached_client;
+              ++out.replies_reached_client;
             }
           });
       hooks.emplace_back(n, id);
@@ -239,32 +221,32 @@ Execution execute(const Scenario& scenario, const SeedPack& seeds,
 
   auto probe = scenario.make_probe(
       tb, faults.ttl_plus_one ? Testbed::kHopsToTap + 1 : 0);
-  exec.report = core::run_probe(tb, *probe, kProbeTimeout);
+  out.report = core::run_probe(tb, *probe, kProbeTimeout);
   tb.run_for(kDrain);
   for (auto& [host, id] : hooks) host->remove_promiscuous(id);
 
   if (faults.break_verdict) {
     // The sabotaged verdict rule: promote whatever happened to a
     // confirmed (active-evidence) Blocked conclusion.
-    exec.report.verdict = Verdict::BlockedRst;
-    exec.report.confidence.conclusion = Conclusion::Blocked;
-    exec.report.confidence.trials = std::max<size_t>(
-        exec.report.confidence.trials, 1);
-    exec.report.confidence.trials_blocked = exec.report.confidence.trials;
-    exec.report.confidence.trials_open = 0;
-    exec.report.confidence.trials_silent = 0;
-    exec.report.confidence.score = 1.0;
+    out.report.verdict = Verdict::BlockedRst;
+    out.report.confidence.conclusion = Conclusion::Blocked;
+    out.report.confidence.trials = std::max<size_t>(
+        out.report.confidence.trials, 1);
+    out.report.confidence.trials_blocked = out.report.confidence.trials;
+    out.report.confidence.trials_open = 0;
+    out.report.confidence.trials_silent = 0;
+    out.report.confidence.score = 1.0;
   }
 
-  exec.risk = core::assess_risk(tb, exec.report.technique);
-  exec.report_json = core::to_json(exec.report);
-  exec.risk_json = core::to_json(exec.risk);
-  exec.metrics_json = tb.metrics_json();
-  exec.provenance_json = tb.provenance_json();
+  out.risk = core::assess_risk(tb, out.report.technique);
+  out.report_json = core::to_json(out.report);
+  out.risk_json = core::to_json(out.risk);
+  out.metrics_json = tb.metrics_json();
+  out.provenance_json = tb.provenance_json();
   if (const obs::ProvenanceGraph* g = tb.prov_sink()) {
     for (const obs::AlertAttribution& a : obs::attribute_alerts(*g)) {
-      ++exec.graph_stored_alerts;
-      if (a.probe_caused) ++exec.graph_probe_caused_alerts;
+      ++out.graph_stored_alerts;
+      if (a.probe_caused) ++out.graph_probe_caused_alerts;
     }
   }
 
@@ -281,7 +263,7 @@ Execution execute(const Scenario& scenario, const SeedPack& seeds,
     Ipv4Address src_id = common::host_identity(d.src_addr());
     Ipv4Address dst_id = common::host_identity(d.dst_addr());
     if (src_id == measurement && neighbor_set.count(dst_id)) {
-      ++exec.replies_crossed_tap;
+      ++out.replies_crossed_tap;
     }
     if (scenario.sav && neighbor_set.count(src_id)) {
       // Packets only the measurement client fabricates: neighbor stacks
@@ -292,13 +274,12 @@ Execution execute(const Scenario& scenario, const SeedPack& seeds,
           (d.udp && d.udp->dst_port == 53) ||
           (d.tcp && d.tcp->syn() && !d.tcp->ack_flag());
       if (spoof_shaped && !sav_model.allows(client, d.src_addr())) {
-        ++exec.sav_violations;
+        ++out.sav_violations;
       }
     }
   }
 
-  if (want_packet_checks) check_codecs(scenario, tb, exec);
-  return exec;
+  if (o5 != nullptr) check_codecs(scenario, tb, out, *o5);
 }
 
 std::unique_ptr<core::Probe> overt_counterpart(const Scenario& scenario,
@@ -322,20 +303,9 @@ TrialOutcome run_scenario(const Scenario& scenario, const SeedPack& seeds,
   out.scenario = scenario;
   out.seeds = seeds;
 
-  Execution exec = execute(scenario, seeds, faults, mask.o5);
-  out.report = exec.report;
-  out.risk = exec.risk;
-  out.report_json = exec.report_json;
-  out.risk_json = exec.risk_json;
-  out.metrics_json = exec.metrics_json;
-  out.provenance_json = exec.provenance_json;
-  out.graph_probe_caused_alerts = exec.graph_probe_caused_alerts;
-  out.graph_stored_alerts = exec.graph_stored_alerts;
-  out.replies_crossed_tap = exec.replies_crossed_tap;
-  out.replies_reached_client = exec.replies_reached_client;
-  out.sav_violations = exec.sav_violations;
-  out.packets_checked = exec.packets_checked;
-  out.packets_undecodable = exec.packets_undecodable;
+  // O5 failures wait here so they follow O1–O4 in `failures`.
+  std::vector<Failure> o5;
+  execute(scenario, seeds, faults, out, mask.o5 ? &o5 : nullptr);
 
   const bool clean = !scenario.impair.any();
   const bool censored = scenario.censored();
@@ -376,7 +346,8 @@ TrialOutcome run_scenario(const Scenario& scenario, const SeedPack& seeds,
   }
 
   if (mask.o2) {
-    Execution again = execute(scenario, seeds, faults, false);
+    TrialOutcome again;
+    execute(scenario, seeds, faults, again, nullptr);
     if (again.report_json != out.report_json) {
       out.failures.push_back({"O2", "report JSON differs under re-run"});
     }
@@ -456,9 +427,7 @@ TrialOutcome run_scenario(const Scenario& scenario, const SeedPack& seeds,
     }
   }
 
-  if (mask.o5) {
-    for (Failure& f : exec.o5_failures) out.failures.push_back(std::move(f));
-  }
+  for (Failure& f : o5) out.failures.push_back(std::move(f));
 
   return out;
 }

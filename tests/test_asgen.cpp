@@ -1,6 +1,6 @@
 // AS-topology generator properties: same-seed determinism, all-pairs
 // reachability across ASes, and equivalence of the compiled LPM route
-// table with the legacy first-match linear scan.
+// tables (v4 and v6) with the legacy first-match linear scan.
 #include "netsim/asgen.hpp"
 
 #include <gtest/gtest.h>
@@ -17,8 +17,10 @@ namespace sm::netsim {
 namespace {
 
 using common::Cidr;
+using common::Cidr6;
 using common::Duration;
 using common::Ipv4Address;
+using common::Ipv6Address;
 
 AsGenConfig small_config(uint64_t seed = 0xA5) {
   AsGenConfig config;
@@ -103,11 +105,12 @@ TEST(AsGen, EveryHostReachableFromEveryAs) {
   EXPECT_EQ(delivered, sent);
 }
 
-// Legacy route semantics the compiled table must reproduce: stable sort
-// by descending prefix length, first containing match wins (so among
-// equal-length prefixes, the earliest-inserted wins).
-int reference_lookup(const std::vector<std::pair<Cidr, int>>& routes,
-                     Ipv4Address dst, int default_port) {
+// Legacy route semantics the compiled table must reproduce, for either
+// family: stable sort by descending prefix length, first containing match
+// wins (so among equal-length prefixes, the earliest-inserted wins).
+template <typename Prefix, typename Address>
+int reference_lookup(const std::vector<std::pair<Prefix, int>>& routes,
+                     Address dst, int default_port) {
   int best_len = -1;
   int best_port = default_port;
   for (const auto& [prefix, port] : routes) {
@@ -154,6 +157,67 @@ TEST(AsGen, CompiledLpmMatchesLinearScanOnRandomRouteSets) {
         ASSERT_EQ(router->route_lookup(dst),
                   reference_lookup(routes, dst, default_port));
       }
+    }
+  }
+}
+
+using U128 = unsigned __int128;
+
+Ipv6Address from_u128(U128 v) {
+  return Ipv6Address(static_cast<uint64_t>(v >> 64), static_cast<uint64_t>(v));
+}
+
+U128 to_u128(Ipv6Address a) { return U128{a.hi()} << 64 | a.lo(); }
+
+TEST(AsGen, CompiledLpm6MatchesLinearScanOnRandomRouteSets) {
+  common::Rng rng(0x10F6);
+  const U128 kOnes = ~U128{0};
+  auto random_u128 = [&] { return U128{rng.next()} << 64 | rng.next(); };
+  for (int trial = 0; trial < 200; ++trial) {
+    // Prefixes cluster around a few anchors, both ends of the space among
+    // them, so they nest and overlap instead of scattering over 2^128.
+    std::vector<U128> anchors = {0, kOnes, random_u128(), random_u128()};
+    auto near_anchor = [&] {
+      U128 a = anchors[rng.bounded(anchors.size())];
+      if (rng.chance(0.25)) return a;
+      return a ^ (random_u128() >> rng.bounded(128));
+    };
+    Network net;
+    Router* router = net.add_router("r");
+    std::vector<std::pair<Cidr6, int>> routes;
+    size_t n_routes = 1 + rng.bounded(40);
+    for (size_t i = 0; i < n_routes; ++i) {
+      uint8_t len = rng.chance(0.1)   ? 0
+                    : rng.chance(0.1) ? 128
+                                      : static_cast<uint8_t>(rng.bounded(129));
+      Cidr6 prefix(from_u128(near_anchor()), len);
+      int port = static_cast<int>(rng.bounded(8));
+      routes.emplace_back(prefix, port);
+      router->add_route6(prefix, port);
+    }
+    int default_port = rng.chance(0.5) ? -1 : 7;
+    router->set_default_route(default_port);
+
+    std::vector<Ipv6Address> probes = {from_u128(0), from_u128(kOnes)};
+    for (int k = 0; k < 1000; ++k)
+      probes.push_back(from_u128(rng.chance(0.1) ? random_u128()
+                                                 : near_anchor()));
+    // Boundary probes: each prefix's first and last address and the
+    // addresses just outside them, where interval-paint bugs live.
+    for (const auto& [prefix, port] : routes) {
+      (void)port;
+      const U128 lo = to_u128(prefix.network());
+      const unsigned len = prefix.prefix_len();
+      const U128 hi = len == 128 ? lo : lo | (kOnes >> len);
+      probes.push_back(from_u128(lo));
+      probes.push_back(from_u128(hi));
+      if (lo != 0) probes.push_back(from_u128(lo - 1));
+      if (hi != kOnes) probes.push_back(from_u128(hi + 1));
+    }
+    for (Ipv6Address dst : probes) {
+      ASSERT_EQ(router->route_lookup(dst),
+                reference_lookup(routes, dst, default_port))
+          << "trial " << trial << " dst " << dst.to_string();
     }
   }
 }

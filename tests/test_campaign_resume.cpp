@@ -2,11 +2,14 @@
 // byte-identical output from any clean prefix (torn tails truncated and
 // replayed, never merged), only missing trials re-execute, and the
 // process-shard backend is byte-identical to the thread pool at any -j
-// in both shard modes — with a worker death costing exactly its own
-// trials, and the checkpoint fault hook cutting a record mid-frame. The
+// in both shard modes — with a worker death or a poisoned result stream
+// costing exactly its own trials, and the checkpoint fault hook cutting a
+// record mid-frame. The
 // end-to-end kill -9 variants (sm-campaignd + harness) live in
 // tools/crash_harness.py, driven by `ci.sh resume`.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -14,8 +17,10 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -465,6 +470,84 @@ TEST(CampaignResume, EveryWorkerDeadLeavesErrorRowsNotBlankOnes) {
   EXPECT_EQ(healed.resumed, 0u);
   EXPECT_EQ(healed.to_jsonl(), ref_jsonl);
   std::remove(path.c_str());
+}
+
+/// Every pipe this process holds open write-only, (device, inode) -> fd.
+std::map<std::pair<dev_t, ino_t>, int> write_only_pipes() {
+  std::map<std::pair<dev_t, ino_t>, int> out;
+  for (int fd = 3; fd < 1024; ++fd) {
+    const int flags = ::fcntl(fd, F_GETFL);
+    struct stat st {};
+    if (flags < 0 || (flags & O_ACCMODE) != O_WRONLY ||
+        ::fstat(fd, &st) != 0 || !S_ISFIFO(st.st_mode))
+      continue;
+    out.emplace(std::pair(st.st_dev, st.st_ino), fd);
+  }
+  return out;
+}
+
+TEST(CampaignResume, PoisonedWorkerStreamIsKilledAndItsTrialsLost) {
+  // Trial 2's factory writes a frame the controller must refuse into its
+  // worker's result pipe (the one write-only pipe the worker holds that
+  // the test process did not), then waits to be killed. Trials 0 and 1
+  // arrived whole before it; the controller kills and retires the worker
+  // on the poison, its owed positions are lost with the poison named, the
+  // positions never handed out are lost as orphans, and none of them is
+  // checkpointed.
+  common::Bytes corrupt;
+  common::append_frame(corrupt, common::Bytes(40, 0x5A));
+  corrupt.back() ^= 1;
+  common::Bytes junk_record;  // checksums fine, but no trial record
+  common::append_frame(junk_record, common::Bytes(40, 0x5A));
+  common::ByteWriter oversize;
+  oversize.u32(common::kMaxPayload + 1);
+  oversize.u32(0);
+  const std::pair<common::Bytes, std::string> poisons[] = {
+      {oversize.take(), "sent an oversized frame"},
+      {corrupt, "sent a corrupt frame"},
+      {junk_record, "sent an undecodable frame"},
+  };
+  const auto inherited = write_only_pipes();
+  for (const auto& [poison, what] : poisons) {
+    auto trials = campaign::build_workload("synthetic:8");
+    trials[2].factory = [&, poison = poison](core::Testbed&)
+        -> std::unique_ptr<core::Probe> {
+      size_t poisoned = 0;
+      for (const auto& [pipe, fd] : write_only_pipes()) {
+        if (inherited.count(pipe)) continue;
+        if (::write(fd, poison.data(), poison.size()) < 0) ::_exit(98);
+        ++poisoned;
+      }
+      if (poisoned == 0) ::_exit(97);  // no result pipe found
+      // The controller kills this worker at once; the alarm ends it if the
+      // controller never does, so that failure shows as a wrong cause
+      // rather than a hung test.
+      ::alarm(20);
+      for (;;) ::pause();
+    };
+    const std::string path = temp_path("poison");
+    std::remove(path.c_str());
+    campaign::CampaignOptions options;
+    options.threads = 1;
+    options.backend = campaign::Backend::Process;
+    options.shard = campaign::Shard::Dynamic;
+    options.checkpoint_path = path;
+    campaign::CampaignResult r = campaign::run(trials, options);
+    const std::string cause = "worker 0 " + what + " before trial completed";
+    EXPECT_FALSE(r.trials[0].failed) << what;
+    EXPECT_FALSE(r.trials[1].failed) << what;
+    EXPECT_EQ(r.trials[2].error, cause);
+    for (size_t i = 3; i < trials.size(); ++i) {
+      EXPECT_TRUE(r.trials[i].error == cause ||
+                  r.trials[i].error == "no live worker left")
+          << what << " " << i << ": " << r.trials[i].error;
+    }
+    EXPECT_EQ(r.lost, trials.size() - 2) << what;
+    EXPECT_EQ(r.failures, r.lost) << what;
+    campaign::CheckpointState state = campaign::load_checkpoint(path);
+    EXPECT_EQ(state.trials.size(), 2u) << what;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CampaignResume, ProgressCountsUpByOneFromTheResumedBase) {

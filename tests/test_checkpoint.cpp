@@ -1,7 +1,8 @@
 // The durable layers under the crash-safe campaign service, bottom-up:
 // common/recordio (CRC-framed append-only files and their torn/corrupt
 // recovery semantics, proven by truncating at every byte offset and
-// flipping every body byte), the checkpoint record codec
+// flipping every body byte; the frame codec the worker pipes share), the
+// checkpoint record codec
 // (encode→decode→encode fixpoint, doubles as bit patterns), the
 // obs::Registry binary round-trip, and a golden checkpoint fixture that
 // pins the on-disk format so old checkpoints stay readable.
@@ -453,6 +454,107 @@ TEST(RecordFile, VisitorExceptionEndsTheScan) {
   std::remove(path.c_str());
 }
 
+// --- frames: the codec record files and worker pipes share -------------
+
+TEST(RecordFrame, ShortAtEveryTruncationCorruptOnEveryFlip) {
+  const common::Bytes payload = payload_of("a payload that spans crc blocks");
+  common::Bytes full;
+  common::append_frame(full, payload);
+  ASSERT_EQ(full.size(), common::kFrameHeader + payload.size());
+  const common::Frame whole = common::next_frame(full);
+  ASSERT_EQ(whole.status, common::Frame::Whole);
+  EXPECT_EQ(whole.size, full.size());
+  EXPECT_EQ(common::Bytes(whole.payload.begin(), whole.payload.end()),
+            payload);
+
+  for (size_t len = 0; len < full.size(); ++len) {
+    EXPECT_EQ(common::next_frame(std::span(full).first(len)).status,
+              common::Frame::Short)
+        << len;
+  }
+  for (size_t bit = 0; bit < full.size() * 8; ++bit) {
+    common::Bytes flipped = full;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    const common::Frame f = common::next_frame(flipped);
+    if (bit >= 32) {
+      // A CRC or payload bit: CRC-32 catches every single-bit error.
+      EXPECT_EQ(f.status, common::Frame::Corrupt) << bit;
+      continue;
+    }
+    // A length bit moves where the frame claims to end: past the cap, past
+    // the buffer, or short of the payload the CRC covers.
+    const uint32_t len = static_cast<uint32_t>(payload.size()) ^
+                         (1u << ((3 - bit / 8) * 8 + bit % 8));
+    const common::Frame::Status want =
+        len > common::kMaxPayload ? common::Frame::Oversize
+        : len > payload.size()    ? common::Frame::Short
+                                  : common::Frame::Corrupt;
+    EXPECT_EQ(f.status, want) << bit;
+  }
+}
+
+TEST(RecordFrame, LengthOverTheCapIsOversizeFromTheHeaderAlone) {
+  for (uint32_t len : {common::kMaxPayload + 1, ~uint32_t{0}}) {
+    common::ByteWriter header;
+    header.u32(len);
+    header.u32(0);
+    EXPECT_EQ(common::next_frame(header.data()).status,
+              common::Frame::Oversize)
+        << len;
+  }
+  // At the cap a lone header is merely short: the payload may yet arrive.
+  common::ByteWriter at_cap;
+  at_cap.u32(common::kMaxPayload);
+  at_cap.u32(0);
+  EXPECT_EQ(common::next_frame(at_cap.data()).status, common::Frame::Short);
+}
+
+TEST(RecordFrame, BackToBackFramesWalkToExactlyTheirPayloads) {
+  common::Rng rng(0xF4A3E);
+  std::vector<common::Bytes> payloads;
+  common::Bytes buf;
+  for (int i = 0; i < 200; ++i) {
+    // Mostly small payloads, empty ones among them, and a few large.
+    common::Bytes p(rng.bounded(i % 10 == 0 ? 5000 : 64));
+    for (uint8_t& b : p) b = static_cast<uint8_t>(rng.next());
+    common::append_frame(buf, p);
+    payloads.push_back(std::move(p));
+  }
+  std::vector<common::Bytes> walked;
+  size_t off = 0;
+  for (;;) {
+    const common::Frame f =
+        common::next_frame(std::span<const uint8_t>(buf).subspan(off));
+    if (f.status != common::Frame::Whole) {
+      EXPECT_EQ(f.status, common::Frame::Short);
+      break;
+    }
+    walked.emplace_back(f.payload.begin(), f.payload.end());
+    off += f.size;
+  }
+  EXPECT_EQ(off, buf.size());
+  EXPECT_EQ(walked, payloads);
+}
+
+TEST(RecordFrame, AppendFrameIsWhatRecordWriterWrites) {
+  const std::string path = temp_path("frames");
+  const std::vector<common::Bytes> payloads = {
+      payload_of("alpha"), payload_of(""), payload_of("a longer third one")};
+  common::Bytes framed;
+  {
+    common::RecordWriter writer;
+    ASSERT_TRUE(writer.open(path, 0x1234, 0));
+    for (const auto& p : payloads) {
+      ASSERT_TRUE(writer.append(p));
+      common::append_frame(framed, p);
+    }
+  }
+  const std::string file = read_file(path);
+  ASSERT_GE(file.size(), 8u);
+  EXPECT_EQ(common::Bytes(file.begin() + 8, file.end()), framed);
+  std::remove(path.c_str());
+}
+
 // --- checkpoint files -------------------------------------------------
 
 TEST(Checkpoint, FileRefusesForeignCampaign) {
@@ -462,15 +564,18 @@ TEST(Checkpoint, FileRefusesForeignCampaign) {
   mine.trial_count = 4;
   mine.workload_digest = 0xAB;
   {
-    campaign::CheckpointFile file;
-    file.open(path, campaign::load_checkpoint(path), mine);
-    ASSERT_TRUE(file.append(sample_trial(0), nullptr));
+    common::RecordWriter file;
+    campaign::open_checkpoint(file, path, campaign::load_checkpoint(path),
+                              mine);
+    ASSERT_TRUE(file.append(campaign::encode_trial_record(sample_trial(0),
+                                                          nullptr)));
   }
   campaign::CheckpointMeta other = mine;
   other.campaign_seed = 2;
   campaign::CheckpointState state = campaign::load_checkpoint(path);
-  campaign::CheckpointFile file;
-  EXPECT_THROW(file.open(path, state, other), std::runtime_error);
+  common::RecordWriter file;
+  EXPECT_THROW(campaign::open_checkpoint(file, path, state, other),
+               std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -479,14 +584,15 @@ TEST(Checkpoint, DuplicateIndexFirstRecordWins) {
   campaign::CheckpointMeta meta;
   meta.trial_count = 4;
   {
-    campaign::CheckpointFile file;
-    file.open(path, campaign::load_checkpoint(path), meta);
+    common::RecordWriter file;
+    campaign::open_checkpoint(file, path, campaign::load_checkpoint(path),
+                              meta);
     campaign::TrialResult first = sample_trial(2);
     first.report.detail = "the-first-write";
     campaign::TrialResult second = sample_trial(2);
     second.report.detail = "the-racing-write";
-    ASSERT_TRUE(file.append(first, nullptr));
-    ASSERT_TRUE(file.append(second, nullptr));
+    ASSERT_TRUE(file.append(campaign::encode_trial_record(first, nullptr)));
+    ASSERT_TRUE(file.append(campaign::encode_trial_record(second, nullptr)));
   }
   campaign::CheckpointState state = campaign::load_checkpoint(path);
   EXPECT_EQ(state.duplicates, 1u);
@@ -513,18 +619,21 @@ TEST(CheckpointGolden, OnDiskFormatIsStable) {
   meta.workload_digest = 0xC0DE1234;
   meta.derive_seeds = true;
   {
-    campaign::CheckpointFile file;
-    file.open(path, campaign::load_checkpoint(path), meta);
+    common::RecordWriter file;
+    campaign::open_checkpoint(file, path, campaign::load_checkpoint(path),
+                              meta);
     obs::Registry snapshot;
     fill_registry(snapshot);
-    ASSERT_TRUE(file.append(sample_trial(0), &snapshot));
-    ASSERT_TRUE(file.append(sample_trial(1), nullptr));
+    ASSERT_TRUE(file.append(
+        campaign::encode_trial_record(sample_trial(0), &snapshot)));
+    ASSERT_TRUE(
+        file.append(campaign::encode_trial_record(sample_trial(1), nullptr)));
     campaign::TrialResult failed;
     failed.index = 2;
     failed.name = "synthetic/00002/overt-dns";
     failed.failed = true;
     failed.error = "probe factory returned null";
-    ASSERT_TRUE(file.append(failed, nullptr));
+    ASSERT_TRUE(file.append(campaign::encode_trial_record(failed, nullptr)));
   }
   const std::string actual = read_file(path);
   std::remove(path.c_str());
