@@ -1,7 +1,8 @@
 // E9 — component microbenchmarks (google-benchmark).
 //
 // These characterize the implementation, not the paper's testbed: packet
-// codec throughput, checksums, BMH content matching, DNS wire codec, IDS
+// codec throughput over both IP families, the transit router's
+// route_peek, checksums, BMH content matching, DNS wire codec, IDS
 // rule evaluation with and without reassembly, flow-table updates, and
 // raw event-loop throughput.
 #include <benchmark/benchmark.h>
@@ -31,24 +32,32 @@ common::Bytes make_payload(size_t n) {
   return out;
 }
 
+/// The codec benches' datagram: an ACK from 10.0.0.1:1234 to
+/// 192.0.2.1:80, over IPv4 or (family 6) their map_v6 addresses.
+packet::Packet bench_tcp(int64_t family, std::span<const uint8_t> payload) {
+  const Ipv4Address src(10, 0, 0, 1), dst(192, 0, 2, 1);
+  if (family == 6)
+    return packet::make_tcp6(common::map_v6(src), common::map_v6(dst), 1234,
+                             80, TcpFlags::kAck, 1, 2, payload);
+  return packet::make_tcp(src, dst, 1234, 80, TcpFlags::kAck, 1, 2, payload);
+}
+
+// Arguments: payload bytes, then the IP family (4 or 6).
 void BM_PacketEncodeTcp(benchmark::State& state) {
   auto payload = make_payload(static_cast<size_t>(state.range(0)));
+  size_t size = 0;
   for (auto _ : state) {
-    auto p = packet::make_tcp(Ipv4Address(10, 0, 0, 1),
-                              Ipv4Address(192, 0, 2, 1), 1234, 80,
-                              TcpFlags::kAck, 1, 2, payload);
+    auto p = bench_tcp(state.range(1), payload);
     benchmark::DoNotOptimize(p.data().data());
+    size = p.size();
   }
-  state.SetBytesProcessed(int64_t(state.iterations()) *
-                          (int64_t(payload.size()) + 40));
+  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(size));
 }
-BENCHMARK(BM_PacketEncodeTcp)->Arg(64)->Arg(512)->Arg(1460);
+BENCHMARK(BM_PacketEncodeTcp)->ArgsProduct({{64, 512, 1460}, {4, 6}});
 
 void BM_PacketDecode(benchmark::State& state) {
   auto payload = make_payload(static_cast<size_t>(state.range(0)));
-  auto p = packet::make_tcp(Ipv4Address(10, 0, 0, 1),
-                            Ipv4Address(192, 0, 2, 1), 1234, 80,
-                            TcpFlags::kAck, 1, 2, payload);
+  auto p = bench_tcp(state.range(1), payload);
   for (auto _ : state) {
     auto d = packet::decode(p.data());
     benchmark::DoNotOptimize(d);
@@ -56,7 +65,18 @@ void BM_PacketDecode(benchmark::State& state) {
   state.SetBytesProcessed(int64_t(state.iterations()) *
                           int64_t(p.size()));
 }
-BENCHMARK(BM_PacketDecode)->Arg(64)->Arg(1460);
+BENCHMARK(BM_PacketDecode)->ArgsProduct({{64, 1460}, {4, 6}});
+
+// The transit router's per-hop parse. Argument: the IP family.
+void BM_RoutePeek(benchmark::State& state) {
+  auto payload = make_payload(64);
+  auto p = bench_tcp(state.range(0), payload);
+  for (auto _ : state) {
+    auto dst = packet::route_peek(p.data());
+    benchmark::DoNotOptimize(dst);
+  }
+}
+BENCHMARK(BM_RoutePeek)->Arg(4)->Arg(6);
 
 void BM_InternetChecksum(benchmark::State& state) {
   auto data = make_payload(static_cast<size_t>(state.range(0)));

@@ -13,7 +13,7 @@
 #      checked-in reproducer corpus replaying;
 #   4. coverage: gcov build (-DSM_COVERAGE=ON), full ctest, then
 #      tools/coverage_report.py enforces the line-coverage floors for
-#      src/core, src/spoof, and src/obs;
+#      src/core, src/spoof, src/obs, and src/packet;
 #   5. perf smoke: Release build of the event-core, IDS fast-path,
 #      population and campaign-scaling benches, run with --smoke. Each
 #      gates itself through bench/report.hpp: anchors and invariants in
@@ -138,9 +138,11 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "coverage" ]; then
   find "$ROOT/build-cov" -name '*.gcda' -delete
   ctest --test-dir "$ROOT/build-cov" -j "$(nproc)"
   # Floors sit ~2 points under the measured line coverage of each scope
-  # so regressions trip the gate while routine drift does not.
+  # so regressions trip the gate while routine drift does not. The
+  # src/packet floor guards the datagram codec every hop runs through.
   python3 "$ROOT/tools/coverage_report.py" "$ROOT/build-cov" \
-          --floor src/core=91 --floor src/spoof=89 --floor src/obs=85
+          --floor src/core=91 --floor src/spoof=89 --floor src/obs=85 \
+          --floor src/packet=95
 fi
 
 if [ "$STAGE" = "all" ] || [ "$STAGE" = "perf" ]; then

@@ -1,8 +1,10 @@
-// IPv4 packet model: header structs, wire encode/decode, and builders.
+// Datagram model for both IP families: header structs, wire
+// encode/decode, and builders.
 //
-// The simulator is an L3 network: a Packet is one IPv4 datagram. Builders
-// fill in lengths and checksums; the parser validates them. Decoded views
-// reference the owning packet's buffer, so a view must not outlive it.
+// The simulator is an L3 network: a Packet is one IPv4 or IPv6 datagram.
+// Builders fill in lengths and checksums; the parser validates them.
+// Decoded views reference the owning packet's buffer, so a view must not
+// outlive it.
 #pragma once
 
 #include <cstdint>
@@ -164,7 +166,8 @@ struct IcmpHeader {
   static constexpr uint8_t kDestUnreachable6 = 1;
 };
 
-/// An owned IPv4 datagram plus the simulator metadata that rides with it.
+/// An owned IPv4 or IPv6 datagram plus the simulator metadata that rides
+/// with it.
 class Packet {
  public:
   Packet() = default;
@@ -280,9 +283,9 @@ inline std::optional<Decoded> decode(const Packet& p) {
 /// validation `decode()` applies (accepts and rejects the same wire
 /// bytes), without materializing a Decoded. This is the transit-router
 /// fast path: a forwarding hop only needs the destination, and skipping
-/// the full parse roughly halves per-hop cost on untapped routers.
-/// Handles both families; the v6 branch shares its validation walk with
-/// decode() so the lockstep holds by construction.
+/// the full parse roughly halves per-hop cost on untapped routers. Both
+/// functions run one validation walk for both families, so the lockstep
+/// holds by construction.
 std::optional<common::IpAddress> route_peek(std::span<const uint8_t> wire);
 
 /// Verifies the network and transport checksums for either family: the
@@ -384,12 +387,5 @@ bool decrement_ttl(Bytes& wire);
 /// Rewrites the TTL/hop limit in place (traffic-normalizer style); fixes
 /// the v4 checksum. Returns false on a too-short buffer.
 bool set_ttl(Bytes& wire, uint8_t ttl);
-
-namespace detail {
-/// Validating v6 parse shared by decode() and route_peek(): walks the
-/// fixed header, extension chain, and L4 header, filling `out` when
-/// non-null. One implementation keeps the accept/reject sets identical.
-bool parse6(std::span<const uint8_t> wire, Decoded* out);
-}  // namespace detail
 
 }  // namespace sm::packet

@@ -79,111 +79,107 @@ bool confirmed_blocked(const ProbeReport& report) {
   return report.confidence.confirmed();
 }
 
-/// O5's packet checks over the capture of a live testbed: counts into
-/// `out`, failures into `o5`.
-void check_codecs(const Scenario& scenario, const Testbed& tb,
-                  TrialOutcome& out, std::vector<Failure>& o5) {
-  const bool corruption_possible =
-      scenario.impair.any() && scenario.impair.model.corrupt_rate > 0.0;
-  for (const packet::PcapRecord& rec : tb.trace->records()) {
-    ++out.packets_checked;
-    auto decoded = packet::decode(std::span<const uint8_t>(rec.data));
-    if (!decoded) {
-      ++out.packets_undecodable;
-      if (!corruption_possible) {
-        o5.push_back(
-            {"O5", "undecodable packet in trace with corruption disabled"});
-      }
-      continue;
+/// O5's packet checks on one captured datagram and its decode: counts
+/// into `out`, failures into `o5`.
+void check_codec(std::span<const uint8_t> wire,
+                 const std::optional<packet::Decoded>& decoded,
+                 bool corruption_possible, TrialOutcome& out,
+                 std::vector<Failure>& o5) {
+  ++out.packets_checked;
+  if (!decoded) {
+    ++out.packets_undecodable;
+    if (!corruption_possible) {
+      o5.push_back(
+          {"O5", "undecodable packet in trace with corruption disabled"});
     }
-    const packet::Decoded& d = *decoded;
-    // DNS payloads must reach an encode/parse fixpoint.
-    if (d.udp && (d.udp->dst_port == 53 || d.udp->src_port == 53)) {
-      if (auto msg = proto::dns::decode(d.l4_payload)) {
-        Bytes once = proto::dns::encode(*msg);
-        auto again = proto::dns::decode(std::span<const uint8_t>(once));
-        if (!again) {
-          o5.push_back({"O5", "re-encoded DNS message failed to parse"});
-        } else if (proto::dns::encode(*again) != once) {
-          o5.push_back({"O5", "DNS encode/parse did not reach a fixpoint"});
-        }
+    return;
+  }
+  const packet::Decoded& d = *decoded;
+  // DNS payloads must reach an encode/parse fixpoint.
+  if (d.udp && (d.udp->dst_port == 53 || d.udp->src_port == 53)) {
+    if (auto msg = proto::dns::decode(d.l4_payload)) {
+      Bytes once = proto::dns::encode(*msg);
+      auto again = proto::dns::decode(std::span<const uint8_t>(once));
+      if (!again) {
+        o5.push_back({"O5", "re-encoded DNS message failed to parse"});
+      } else if (proto::dns::encode(*again) != once) {
+        o5.push_back({"O5", "DNS encode/parse did not reach a fixpoint"});
       }
     }
-    // v6 datagrams check the decode → reassemble6 fixpoint instead: the
-    // header re-encoder is byte-preserving across the whole extension
-    // chain, so the rebuilt datagram must equal the original exactly.
-    if (d.is_v6()) {
-      std::span<const uint8_t> wire(rec.data);
-      packet::Packet rebuilt6 = packet::reassemble6(
-          *d.ip6, wire.subspan(d.ip6->header_length()));
-      if (rebuilt6.data().size() != wire.size() ||
-          !std::equal(rebuilt6.data().begin(), rebuilt6.data().end(),
-                      wire.begin())) {
-        o5.push_back({"O5", "v6 decode -> reassemble6 changed the datagram"});
-      } else if (!d.ip6->has_fragment && !corruption_possible &&
-                 !packet::verify_checksums(wire)) {
-        o5.push_back({"O5", "v6 datagram checksums invalid"});
-      }
-      continue;
+  }
+  // v6 datagrams check the decode → reassemble6 fixpoint instead: the
+  // header re-encoder is byte-preserving across the whole extension
+  // chain, so the rebuilt datagram must equal the original exactly.
+  if (d.is_v6()) {
+    packet::Packet rebuilt6 = packet::reassemble6(
+        *d.ip6, wire.subspan(d.ip6->header_length()));
+    if (rebuilt6.data().size() != wire.size() ||
+        !std::equal(rebuilt6.data().begin(), rebuilt6.data().end(),
+                    wire.begin())) {
+      o5.push_back({"O5", "v6 decode -> reassemble6 changed the datagram"});
+    } else if (!d.ip6->has_fragment && !corruption_possible &&
+               !packet::verify_checksums(wire)) {
+      o5.push_back({"O5", "v6 datagram checksums invalid"});
     }
-    // Rebuild the datagram from its decoded form; fragments and packets
-    // carrying header options are outside the builders' vocabulary.
-    if (d.ip.more_fragments || d.ip.fragment_offset != 0) continue;
-    if (!d.ip.options.empty()) continue;
-    packet::IpOptions ip_opts{.ttl = d.ip.ttl,
-                              .tos = d.ip.tos,
-                              .identification = d.ip.identification,
-                              .dont_fragment = d.ip.dont_fragment};
-    packet::Packet rebuilt;
-    if (d.tcp) {
-      if (!d.tcp->options.empty()) continue;
-      rebuilt = packet::make_tcp(d.ip.src, d.ip.dst, d.tcp->src_port,
-                                 d.tcp->dst_port, d.tcp->flags, d.tcp->seq,
-                                 d.tcp->ack, d.l4_payload, ip_opts,
-                                 d.tcp->window);
-    } else if (d.udp) {
-      rebuilt = packet::make_udp(d.ip.src, d.ip.dst, d.udp->src_port,
-                                 d.udp->dst_port, d.l4_payload, ip_opts);
-    } else if (d.icmp) {
-      rebuilt = packet::make_icmp(d.ip.src, d.ip.dst, d.icmp->type,
-                                  d.icmp->code, d.icmp->rest, d.l4_payload,
-                                  ip_opts);
-    } else {
-      continue;
-    }
-    auto redecoded = packet::decode(rebuilt);
-    if (!redecoded) {
-      o5.push_back({"O5", "rebuilt packet failed to decode"});
-      continue;
-    }
-    const packet::Decoded& r = *redecoded;
-    bool same = r.ip.src == d.ip.src && r.ip.dst == d.ip.dst &&
-                r.ip.ttl == d.ip.ttl && r.ip.tos == d.ip.tos &&
-                r.ip.identification == d.ip.identification &&
-                r.ip.dont_fragment == d.ip.dont_fragment &&
-                r.ip.protocol == d.ip.protocol &&
-                std::equal(r.l4_payload.begin(), r.l4_payload.end(),
-                           d.l4_payload.begin(), d.l4_payload.end());
-    if (same && d.tcp) {
-      same = r.tcp && r.tcp->src_port == d.tcp->src_port &&
-             r.tcp->dst_port == d.tcp->dst_port && r.tcp->seq == d.tcp->seq &&
-             r.tcp->ack == d.tcp->ack && r.tcp->flags == d.tcp->flags &&
-             r.tcp->window == d.tcp->window;
-    }
-    if (same && d.udp) {
-      same = r.udp && r.udp->src_port == d.udp->src_port &&
-             r.udp->dst_port == d.udp->dst_port;
-    }
-    if (same && d.icmp) {
-      same = r.icmp && r.icmp->type == d.icmp->type &&
-             r.icmp->code == d.icmp->code && r.icmp->rest == d.icmp->rest;
-    }
-    if (!same) {
-      o5.push_back({"O5", "decode -> rebuild -> decode changed packet fields"});
-    } else if (!packet::verify_checksums(
-                   std::span<const uint8_t>(rebuilt.data()))) {
-      o5.push_back({"O5", "rebuilt packet checksums invalid"});
-    }
+    return;
+  }
+  // Rebuild the datagram from its decoded form; fragments and packets
+  // carrying header options are outside the builders' vocabulary.
+  if (d.ip.more_fragments || d.ip.fragment_offset != 0) return;
+  if (!d.ip.options.empty()) return;
+  packet::IpOptions ip_opts{.ttl = d.ip.ttl,
+                            .tos = d.ip.tos,
+                            .identification = d.ip.identification,
+                            .dont_fragment = d.ip.dont_fragment};
+  packet::Packet rebuilt;
+  if (d.tcp) {
+    if (!d.tcp->options.empty()) return;
+    rebuilt = packet::make_tcp(d.ip.src, d.ip.dst, d.tcp->src_port,
+                               d.tcp->dst_port, d.tcp->flags, d.tcp->seq,
+                               d.tcp->ack, d.l4_payload, ip_opts,
+                               d.tcp->window);
+  } else if (d.udp) {
+    rebuilt = packet::make_udp(d.ip.src, d.ip.dst, d.udp->src_port,
+                               d.udp->dst_port, d.l4_payload, ip_opts);
+  } else if (d.icmp) {
+    rebuilt = packet::make_icmp(d.ip.src, d.ip.dst, d.icmp->type,
+                                d.icmp->code, d.icmp->rest, d.l4_payload,
+                                ip_opts);
+  } else {
+    return;
+  }
+  auto redecoded = packet::decode(rebuilt);
+  if (!redecoded) {
+    o5.push_back({"O5", "rebuilt packet failed to decode"});
+    return;
+  }
+  const packet::Decoded& r = *redecoded;
+  bool same = r.ip.src == d.ip.src && r.ip.dst == d.ip.dst &&
+              r.ip.ttl == d.ip.ttl && r.ip.tos == d.ip.tos &&
+              r.ip.identification == d.ip.identification &&
+              r.ip.dont_fragment == d.ip.dont_fragment &&
+              r.ip.protocol == d.ip.protocol &&
+              std::equal(r.l4_payload.begin(), r.l4_payload.end(),
+                         d.l4_payload.begin(), d.l4_payload.end());
+  if (same && d.tcp) {
+    same = r.tcp && r.tcp->src_port == d.tcp->src_port &&
+           r.tcp->dst_port == d.tcp->dst_port && r.tcp->seq == d.tcp->seq &&
+           r.tcp->ack == d.tcp->ack && r.tcp->flags == d.tcp->flags &&
+           r.tcp->window == d.tcp->window;
+  }
+  if (same && d.udp) {
+    same = r.udp && r.udp->src_port == d.udp->src_port &&
+           r.udp->dst_port == d.udp->dst_port;
+  }
+  if (same && d.icmp) {
+    same = r.icmp && r.icmp->type == d.icmp->type &&
+           r.icmp->code == d.icmp->code && r.icmp->rest == d.icmp->rest;
+  }
+  if (!same) {
+    o5.push_back({"O5", "decode -> rebuild -> decode changed packet fields"});
+  } else if (!packet::verify_checksums(
+                 std::span<const uint8_t>(rebuilt.data()))) {
+    o5.push_back({"O5", "rebuilt packet checksums invalid"});
   }
 }
 
@@ -250,12 +246,18 @@ void execute(const Scenario& scenario, const SeedPack& seeds,
     }
   }
 
-  // Scan the tap capture for O3's crossing / SAV counters.
+  // One walk over the tap capture: O3's crossing / SAV counters, and
+  // O5's packet checks on the same decode when O5 is on.
   spoof::SavModel sav_model(tb.config().sav_distribution,
                             tb.config().sav_seed);
   const Ipv4Address client = tb.addr().client;
+  const bool corruption_possible =
+      scenario.impair.any() && scenario.impair.model.corrupt_rate > 0.0;
   for (const packet::PcapRecord& rec : tb.trace->records()) {
-    auto decoded = packet::decode(std::span<const uint8_t>(rec.data));
+    std::span<const uint8_t> wire(rec.data);
+    auto decoded = packet::decode(wire);
+    if (o5 != nullptr)
+      check_codec(wire, decoded, corruption_possible, out, *o5);
     if (!decoded) continue;
     const packet::Decoded& d = *decoded;
     // host_identity folds map_v6 sources back to their v4 identity, so
@@ -279,7 +281,6 @@ void execute(const Scenario& scenario, const SeedPack& seeds,
     }
   }
 
-  if (o5 != nullptr) check_codecs(scenario, tb, out, *o5);
 }
 
 std::unique_ptr<core::Probe> overt_counterpart(const Scenario& scenario,

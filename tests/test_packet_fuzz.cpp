@@ -148,7 +148,7 @@ TEST(PacketFuzz, MutatedBuffersNeverCrashTheDecoder) {
     auto d = packet::decode(std::span<const uint8_t>(wire));
     if (d) {
       volatile uint8_t sink = 0;
-      for (uint8_t b : d->l4_payload) sink ^= b;
+      for (uint8_t b : d->l4_payload) sink = sink ^ b;
       (void)sink;
       EXPECT_LE(d->ip.header_length(), wire.size());
     }
@@ -166,7 +166,7 @@ TEST(PacketFuzz, TruncatedBuffersNeverCrashTheDecoder) {
     auto d = packet::decode(std::span<const uint8_t>(trunc));
     if (d) {
       volatile uint8_t sink = 0;
-      for (uint8_t b : d->l4_payload) sink ^= b;
+      for (uint8_t b : d->l4_payload) sink = sink ^ b;
       (void)sink;
     }
     (void)packet::verify_checksums(std::span<const uint8_t>(trunc));
@@ -328,7 +328,7 @@ TEST(PacketFuzz, Ipv6TruncationAtEveryByteKeepsDecodeRoutePeekLockstep) {
       if (d) {
         EXPECT_EQ(*peek, d->dst_addr());
         volatile uint8_t sink = 0;
-        for (uint8_t b : d->l4_payload) sink ^= b;
+        for (uint8_t b : d->l4_payload) sink = sink ^ b;
         (void)sink;
         EXPECT_LE(d->ip6->header_length(), cut);
       }
@@ -356,7 +356,7 @@ TEST(PacketFuzz, Ipv6MutatedBuffersNeverCrashTheDecoder) {
     if (d) {
       EXPECT_EQ(*peek, d->dst_addr());
       volatile uint8_t sink = 0;
-      for (uint8_t b : d->l4_payload) sink ^= b;
+      for (uint8_t b : d->l4_payload) sink = sink ^ b;
       (void)sink;
       EXPECT_LE(d->net_header_length(), wire.size());
     }

@@ -75,7 +75,9 @@ TEST(SimcheckGenerator, SamplesStayInsideTheDecidableRegime) {
                                  [](const CensorRule& r) { return r.aimed; });
     EXPECT_LE(aimed, 1u);
     EXPECT_EQ(s.censored(), aimed == 1);
-    if (s.censored()) EXPECT_FALSE(s.expected_verdicts().empty());
+    if (s.censored()) {
+      EXPECT_FALSE(s.expected_verdicts().empty());
+    }
     if (s.impair.where != ImpairedSegment::None) {
       EXPECT_LE(s.impair.iid_loss, 0.15);
       EXPECT_LE(s.impair.model.corrupt_rate, 0.02);
